@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"extdict/internal/mat"
 	"extdict/internal/rng"
@@ -34,11 +33,10 @@ func runServe(c benchConfig) (artifact, error) {
 	d.NormalizeColumns()
 
 	srv, err := serve.New(map[string]*mat.Dense{"bench": d.Clone()}, serve.Config{
-		Tol:         0.05,
-		BatchWindow: time.Millisecond,
-		BatchMax:    32,
-		QueueCap:    4096,
-		Workers:     c.Workers,
+		Tol:      0.05,
+		BatchMax: 32,
+		QueueCap: 4096,
+		Workers:  c.Workers,
 	})
 	if err != nil {
 		return artifact{}, err

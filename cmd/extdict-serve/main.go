@@ -1,11 +1,12 @@
 // Command extdict-serve is ExtDict-as-a-service: it loads one or more
 // dictionaries at startup and serves encode/denoise traffic over HTTP,
-// coalescing concurrent requests into Batch-OMP panels and admission-
-// controlling them with the paper's Eq. 2 performance model.
+// coding whatever requests are queued as one Batch-OMP panel the moment the
+// coder is free, and admission-controlling them with the paper's Eq. 2
+// performance model.
 //
 //	extdict-serve -dict D.edm
 //	extdict-serve -dict salinas=D1.edm -dict pavia=D2.csv -addr :8347 \
-//	    -batch-window 2ms -batch-max 32 -latency-budget 50ms
+//	    -batch-max 32 -latency-budget 50ms
 //
 // Endpoints:
 //
@@ -26,7 +27,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"extdict/internal/cluster"
 	"extdict/internal/mat"
@@ -62,8 +62,7 @@ func run(args []string) error {
 	var dicts dictFlag
 	fs.Var(&dicts, "dict", "dictionary to serve, as name=path or path (.csv or .edm); repeatable, required")
 	addr := fs.String("addr", ":8347", "listen address")
-	batchWindow := fs.Duration("batch-window", 2*time.Millisecond, "max wait to coalesce a panel after its first request")
-	batchMax := fs.Int("batch-max", 32, "max signals coded per panel")
+	batchMax := fs.Int("batch-max", 32, "max queued signals coded per panel")
 	queueCap := fs.Int("queue-cap", 256, "per-dictionary queued-request bound")
 	latencyBudget := fs.Duration("latency-budget", 0, "shed requests whose Eq. 2 modeled completion latency exceeds this (0 = queue bound only)")
 	tol := fs.Float64("tol", 0.1, "OMP relative residual tolerance")
@@ -104,7 +103,6 @@ func run(args []string) error {
 		*cores = mat.Workers
 	}
 	srv, err := serve.New(loaded, serve.Config{
-		BatchWindow:   *batchWindow,
 		BatchMax:      *batchMax,
 		QueueCap:      *queueCap,
 		LatencyBudget: *latencyBudget,
@@ -121,8 +119,8 @@ func run(args []string) error {
 		srv.Close()
 		return err
 	}
-	fmt.Printf("serving %s on %s (window %v, batch-max %d, budget %v)\n",
-		strings.Join(srv.Names(), ", "), h.Addr(), *batchWindow, *batchMax, *latencyBudget)
+	fmt.Printf("serving %s on %s (batch-max %d, budget %v)\n",
+		strings.Join(srv.Names(), ", "), h.Addr(), *batchMax, *latencyBudget)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -37,6 +37,12 @@ type BatchCoder struct {
 	mu       sync.Mutex
 	lazyRows [][]float64 // cached Gram rows when g == nil
 	cached   int         // floats currently cached
+
+	// spare holds the idle workspaces EncodePanel lends to its chunks. It
+	// grows to the peak number of chunks coding at once and never shrinks,
+	// so a warm panel allocates nothing but its results.
+	spareMu sync.Mutex
+	spare   []*Workspace
 }
 
 // NewBatchCoder prepares the Gram structures for d.
@@ -222,27 +228,46 @@ func (bc *BatchCoder) Encode(a []float64, tol float64, maxAtoms int, ws *Workspa
 // EncodePanel codes an ad-hoc panel of signals — each cols[i] a length-M
 // column — in parallel across `workers` chunks of the shared mat worker
 // pool, returning one Result per column in input order. It is the serving
-// layer's batch entry: the request batcher coalesces independent client
-// signals into one panel so the precomputed Gram structures amortize across
-// users, without copying the signals into a Dense first. Columns are coded
-// independently (each gets a fresh-reset workspace), so the results are
-// bit-identical to coding the same columns one at a time, at any worker
-// count.
+// layer's batch entry: the request batcher hands it whatever requests are
+// queued, without copying the signals into a Dense first. Each chunk codes
+// with a workspace borrowed from the coder's spare list, and Encode resets
+// every field a code reads, so the results are bit-identical to coding the
+// same columns one at a time, at any worker count.
 func (bc *BatchCoder) EncodePanel(cols [][]float64, tol float64, maxAtoms, workers int) []Result {
 	out := make([]Result, len(cols))
 	if len(cols) == 0 {
 		return out
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	mat.ParallelChunks(len(cols), workers, func(_, lo, hi int) {
-		ws := &Workspace{}
+	workers = max(1, min(workers, len(cols)))
+	ws := bc.borrow(workers)
+	mat.ParallelChunks(len(cols), workers, func(c, lo, hi int) {
 		for j := lo; j < hi; j++ {
-			out[j] = bc.Encode(cols[j], tol, maxAtoms, ws)
+			out[j] = bc.Encode(cols[j], tol, maxAtoms, ws[c])
 		}
 	})
+	bc.giveBack(ws)
 	return out
+}
+
+// borrow takes n workspaces off the spare list, making fresh ones when the
+// list runs short. The caller owns them until giveBack.
+func (bc *BatchCoder) borrow(n int) []*Workspace {
+	ws := make([]*Workspace, n)
+	bc.spareMu.Lock()
+	k := copy(ws, bc.spare[max(0, len(bc.spare)-n):])
+	bc.spare = bc.spare[:len(bc.spare)-k]
+	bc.spareMu.Unlock()
+	for i := k; i < n; i++ {
+		ws[i] = &Workspace{}
+	}
+	return ws
+}
+
+// giveBack returns borrowed workspaces to the spare list.
+func (bc *BatchCoder) giveBack(ws []*Workspace) {
+	bc.spareMu.Lock()
+	bc.spare = append(bc.spare, ws...)
+	bc.spareMu.Unlock()
 }
 
 // EncodeColumns codes every column of a (M×N) in parallel across `workers`

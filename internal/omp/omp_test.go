@@ -2,6 +2,8 @@ package omp
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"extdict/internal/mat"
@@ -215,6 +217,113 @@ func TestBatchWorkspaceReuse(t *testing.T) {
 			}
 		}
 	}
+}
+
+// panelSink keeps EncodePanel's results live so the measured call in
+// TestEncodePanelWarmAllocs cannot be optimized away.
+var panelSink []Result
+
+// TestEncodePanelWarmAllocs bounds a warm panel's allocations: after the
+// first call has stocked the spare list, EncodePanel allocates its results
+// (the output slice and each column's Idx and Coef) plus a fixed few words
+// of fan-out bookkeeping, and no Workspace or Cholesky storage — a fresh
+// workspace alone costs ten allocations and a maxAtoms² factor.
+func TestEncodePanelWarmAllocs(t *testing.T) {
+	const (
+		b       = 4
+		workers = 2
+	)
+	r := rng.New(10)
+	d := unitDictionary(r, 32, 96)
+	bc := NewBatchCoder(d)
+	cols := make([][]float64, b)
+	for k := range cols {
+		cols[k] = make([]float64, d.Rows)
+		for i := range cols[k] {
+			cols[k][i] = r.NormFloat64()
+		}
+	}
+	want := bc.EncodePanel(cols, 0.05, 0, workers)
+
+	allocs := testing.AllocsPerRun(50, func() {
+		panelSink = bc.EncodePanel(cols, 0.05, 0, workers)
+	})
+	// Results take 1 + 2b. The fan-out (closure, borrowed-workspace slice,
+	// WaitGroup, one pool job per chunk beyond the first) takes 4 here; the
+	// bound leaves one spare, well short of one fresh workspace's ten.
+	if limit := float64(1 + 2*b + 5); allocs > limit {
+		t.Fatalf("warm EncodePanel made %v allocations, want ≤ %v", allocs, limit)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	panelSink = bc.EncodePanel(cols, 0.05, 0, workers)
+	runtime.ReadMemStats(&after)
+	if bytes, chol := after.TotalAlloc-before.TotalAlloc, uint64(8*d.Rows*d.Rows); bytes >= chol {
+		t.Fatalf("warm EncodePanel allocated %d bytes, at least one %d-byte Cholesky factor", bytes, chol)
+	}
+	if len(bc.spare) != workers {
+		t.Fatalf("spare list holds %d workspaces, want one per chunk (%d)", len(bc.spare), workers)
+	}
+	for j, got := range panelSink {
+		if got.Iters != want[j].Iters || math.Float64bits(got.Resid2) != math.Float64bits(want[j].Resid2) {
+			t.Fatalf("column %d: warm panel differs from the cold one", j)
+		}
+		for i := range got.Idx {
+			if got.Idx[i] != want[j].Idx[i] || math.Float64bits(got.Coef[i]) != math.Float64bits(want[j].Coef[i]) {
+				t.Fatalf("column %d: warm panel coefficients differ from the cold one", j)
+			}
+		}
+	}
+}
+
+// TestEncodePanelConcurrentCallers shares one coder's spare list among
+// several goroutines coding panels of different sizes and fan-outs at
+// once (run it under -race); every code must match a serial encode bit for
+// bit, whichever borrowed workspace produced it.
+func TestEncodePanelConcurrentCallers(t *testing.T) {
+	const callers = 4
+	r := rng.New(11)
+	d := unitDictionary(r, 24, 64)
+	bc := NewBatchCoder(d)
+	cols := make([][]float64, 12)
+	for k := range cols {
+		cols[k] = make([]float64, d.Rows)
+		for i := range cols[k] {
+			cols[k][i] = r.NormFloat64()
+		}
+	}
+	ws := &Workspace{}
+	want := make([]Result, len(cols))
+	for k, col := range cols {
+		want[k] = bc.Encode(col, 0.05, 0, ws)
+	}
+
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				lo := (c + round) % len(cols)
+				panel := cols[lo:]
+				got := bc.EncodePanel(panel, 0.05, 0, 1+c)
+				for j, res := range got {
+					w := want[lo+j]
+					if res.Iters != w.Iters || math.Float64bits(res.Resid2) != math.Float64bits(w.Resid2) {
+						t.Errorf("caller %d round %d column %d differs from serial encode", c, round, lo+j)
+						return
+					}
+					for i := range w.Idx {
+						if res.Idx[i] != w.Idx[i] || math.Float64bits(res.Coef[i]) != math.Float64bits(w.Coef[i]) {
+							t.Errorf("caller %d round %d column %d coefficients differ from serial encode", c, round, lo+j)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestEncodeColumnsMatchesPerColumn(t *testing.T) {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"math"
-	"runtime"
 	"testing"
 	"time"
 
@@ -13,15 +12,18 @@ import (
 	"extdict/internal/rng"
 )
 
-// newVirtualShard builds a shard driven by a VirtualClock and starts its
-// batcher, returning both plus a cleanup that drains it.
-func newVirtualShard(t *testing.T, d *mat.Dense, cfg Config) (*shard, *VirtualClock) {
-	t.Helper()
-	vc := NewVirtualClock(1024)
-	cfg.Clock = vc
-	cfg.BatchWindow = time.Hour // never fires on its own; the test drives it
+// newUnstartedShard builds a shard whose batcher is not running yet, so the
+// test controls what is queued before the first panel opens.
+func newUnstartedShard(d *mat.Dense, cfg Config) *shard {
 	cfg = cfg.withDefaults()
-	sh := newShard("d", d, &cfg)
+	return newShard("d", d, &cfg)
+}
+
+// startBatcher starts sh's batcher and registers a cleanup that drains the
+// shard and waits, under the watchdog, for the batcher to exit. The
+// returned channel closes when it has.
+func startBatcher(t *testing.T, sh *shard) <-chan struct{} {
+	t.Helper()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -29,17 +31,9 @@ func newVirtualShard(t *testing.T, d *mat.Dense, cfg Config) (*shard, *VirtualCl
 	}()
 	t.Cleanup(func() {
 		sh.close()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				vc.TryFireNext()
-				runtime.Gosched()
-			}
-		}
+		clustertest.Watchdog(t, func() { <-done })
 	})
-	return sh, vc
+	return done
 }
 
 // submitN submits n fresh requests built from the signal stream and returns
@@ -56,38 +50,23 @@ func submitN(t *testing.T, sh *shard, r *rng.RNG, n int) []*request {
 	return reqs
 }
 
-// waitDrained spins until the batcher has consumed every queued request, so
-// a subsequent window fire deterministically closes the current panel.
-func waitDrained(sh *shard) {
-	for len(sh.reqCh) > 0 {
-		runtime.Gosched()
-	}
-}
-
-// completeAll fires virtual windows until every request in reqs has been
-// answered.
-func completeAll(t *testing.T, vc *VirtualClock, reqs []*request) {
+// waitAll blocks, under the watchdog, until every request has been answered.
+func waitAll(t *testing.T, reqs []*request) {
 	t.Helper()
 	clustertest.Watchdog(t, func() {
 		for _, r := range reqs {
-			for {
-				select {
-				case <-r.done:
-				default:
-					vc.TryFireNext()
-					runtime.Gosched()
-					continue
-				}
-				break
-			}
+			<-r.done
 		}
 	})
 }
 
 // TestBatcherMatchesSerialUnderSeededArrivals is the core batching
-// property: for seeded arrival patterns, every coalesced panel's results
-// are bit-identical to coding the same signals one at a time, batch sizes
-// never exceed BatchMax, and every accepted request is answered.
+// property: for seeded arrival patterns, every panel's results are
+// bit-identical to coding the same signals one at a time, batch sizes never
+// exceed BatchMax, and every accepted request is answered. Each trial's
+// first burst is queued before the batcher starts, so it opens with a full
+// or backlog-sized panel; later bursts land on a running batcher and are
+// split however the race with the coder falls.
 func TestBatcherMatchesSerialUnderSeededArrivals(t *testing.T) {
 	const batchMax = 4
 	r := rng.New(101)
@@ -96,18 +75,19 @@ func TestBatcherMatchesSerialUnderSeededArrivals(t *testing.T) {
 	ws := &omp.Workspace{}
 
 	for trial := 0; trial < 20; trial++ {
-		sh, vc := newVirtualShard(t, d, Config{BatchMax: batchMax, QueueCap: 64, Tol: 0.05, Workers: 2})
+		sh := newUnstartedShard(d, Config{BatchMax: batchMax, QueueCap: 64, Tol: 0.05, Workers: 2})
 		var all []*request
 		// A seeded arrival pattern: bursts of 1..2·batchMax requests, each
-		// burst flushed by the virtual window after the queue drains.
+		// answered before the next one arrives.
 		for burst := 0; burst < 4; burst++ {
 			n := 1 + r.Intn(2*batchMax)
 			reqs := submitN(t, sh, r, n)
-			waitDrained(sh)
-			vc.TryFireNext()
+			if burst == 0 {
+				startBatcher(t, sh)
+			}
+			waitAll(t, reqs)
 			all = append(all, reqs...)
 		}
-		completeAll(t, vc, all)
 
 		for i, req := range all {
 			if req.batch < 1 || req.batch > batchMax {
@@ -139,22 +119,44 @@ func TestBatcherMatchesSerialUnderSeededArrivals(t *testing.T) {
 	}
 }
 
-// TestBatcherFullPanelWithoutWindow proves BatchMax alone closes a panel:
-// submitting exactly BatchMax requests completes them with no window fire.
-func TestBatcherFullPanelWithoutWindow(t *testing.T) {
+// TestBatcherCodesBacklogInFullPanels proves the panel cap and that the
+// batcher takes the whole backlog without waiting: 2·BatchMax+1 requests
+// queued before it starts are coded in panels of BatchMax, BatchMax, 1, in
+// arrival order.
+func TestBatcherCodesBacklogInFullPanels(t *testing.T) {
+	const batchMax = 4
 	r := rng.New(55)
 	d := unitDictionary(r, 8, 24)
-	sh, _ := newVirtualShard(t, d, Config{BatchMax: 4, QueueCap: 64})
-	reqs := submitN(t, sh, r, 4)
-	clustertest.Watchdog(t, func() {
-		for _, req := range reqs {
-			<-req.done
+	sh := newUnstartedShard(d, Config{BatchMax: batchMax, QueueCap: 64})
+	reqs := submitN(t, sh, r, 2*batchMax+1)
+	startBatcher(t, sh)
+	waitAll(t, reqs)
+	for i, req := range reqs {
+		want := batchMax
+		if i == 2*batchMax {
+			want = 1
 		}
-	})
-	for _, req := range reqs {
-		if req.batch != 4 {
-			t.Fatalf("batch %d, want the full panel of 4", req.batch)
+		if req.batch != want {
+			t.Fatalf("request %d rode a panel of %d, want %d", i, req.batch, want)
 		}
+	}
+	if full, lone := sh.stats.hist[batchMax-1].Load(), sh.stats.hist[0].Load(); full != 2 || lone != 1 {
+		t.Fatalf("panel histogram: %d full panels and %d singletons, want 2 and 1", full, lone)
+	}
+}
+
+// TestLoneRequestCodedAtOnce proves the batcher is work-conserving: a
+// single request on an idle shard is coded with no other arrival and no
+// timer to fire.
+func TestLoneRequestCodedAtOnce(t *testing.T) {
+	r := rng.New(57)
+	d := unitDictionary(r, 8, 24)
+	sh := newUnstartedShard(d, Config{BatchMax: 32, QueueCap: 64})
+	startBatcher(t, sh)
+	reqs := submitN(t, sh, r, 1)
+	waitAll(t, reqs)
+	if reqs[0].batch != 1 {
+		t.Fatalf("lone request rode a panel of %d, want 1", reqs[0].batch)
 	}
 }
 
@@ -174,17 +176,16 @@ func TestAdmissionTraceReplays(t *testing.T) {
 		err         error
 	}
 	drive := func() []decision {
-		// BatchMax ≥ n keeps the batcher waiting on the (never-fired)
-		// window, so queue depth during the submit run is exactly the
-		// accepted count — deterministic.
-		sh, _ := newVirtualShard(t, d, Config{
+		// With the batcher not started nothing leaves the queue, so its
+		// depth during the submit run is exactly the accepted count —
+		// deterministic.
+		sh := newUnstartedShard(d, Config{
 			BatchMax: n, QueueCap: n, LatencyBudget: budget, Platform: plat,
 		})
 		r := rng.New(77)
 		trace := make([]decision, n)
 		for i := range trace {
 			req := &request{kind: kindEncode, signal: randSignal(r, sh.rows), done: make(chan struct{})}
-			waitDrained(sh)
 			m, err := sh.submit(req)
 			trace[i] = decision{modeledBits: math.Float64bits(m), err: err}
 		}
@@ -215,8 +216,7 @@ func TestQueueCapSheds(t *testing.T) {
 	const qcap = 4
 	r := rng.New(23)
 	d := unitDictionary(r, 8, 24)
-	cfg := (Config{QueueCap: qcap}).withDefaults()
-	sh := newShard("d", d, &cfg) // run() never started: the queue only fills
+	sh := newUnstartedShard(d, Config{QueueCap: qcap}) // the queue only fills
 
 	shed := 0
 	for i := 0; i < 3*qcap; i++ {
@@ -235,24 +235,26 @@ func TestQueueCapSheds(t *testing.T) {
 	}
 }
 
-// TestDrainCompletesAcceptedRequests proves the no-drop guarantee: close
-// mid-fill and every accepted request still gets coded — without any window
-// fire — while later submits fail with ErrClosed.
+// TestDrainCompletesAcceptedRequests proves the no-drop guarantee:
+// requests accepted before close are all coded, in one panel, by a batcher
+// that starts only after the drain began, which then exits; later submits
+// fail with ErrClosed.
 func TestDrainCompletesAcceptedRequests(t *testing.T) {
 	r := rng.New(31)
 	d := unitDictionary(r, 8, 24)
-	sh, _ := newVirtualShard(t, d, Config{BatchMax: 16, QueueCap: 64})
+	sh := newUnstartedShard(d, Config{BatchMax: 16, QueueCap: 64})
 
 	reqs := submitN(t, sh, r, 5)
 	sh.close()
-	clustertest.Watchdog(t, func() {
-		for _, req := range reqs {
-			<-req.done
-		}
-	})
+	exited := startBatcher(t, sh)
+	waitAll(t, reqs)
+	clustertest.Watchdog(t, func() { <-exited })
 	for i, req := range reqs {
 		if len(req.res.Idx) == 0 && req.res.Iters == 0 {
 			t.Fatalf("request %d drained without being coded", i)
+		}
+		if req.batch != len(reqs) {
+			t.Fatalf("request %d rode a panel of %d, want the whole backlog of %d", i, req.batch, len(reqs))
 		}
 	}
 	late := &request{kind: kindEncode, signal: randSignal(r, sh.rows), done: make(chan struct{})}

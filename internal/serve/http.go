@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 
 	"extdict/internal/mat"
@@ -89,7 +90,6 @@ type Statsz struct {
 	Dicts           map[string]ShardStats `json:"dicts"`
 	PoolBudget      int                   `json:"pool_budget"`
 	PoolPeak        int                   `json:"pool_peak"`
-	BatchWindowMS   float64               `json:"batch_window_ms"`
 	BatchMax        int                   `json:"batch_max"`
 	QueueCap        int                   `json:"queue_cap"`
 	LatencyBudgetMS float64               `json:"latency_budget_ms"`
@@ -147,6 +147,13 @@ func (s *Server) handleCode(w http.ResponseWriter, r *http.Request, kind reqKind
 		return
 	}
 	<-req.done
+	// A finite signal can still overflow while it is coded (‖a‖² past the
+	// float64 range). JSON cannot carry a non-finite number, so refuse the
+	// signal rather than answer 200 with a body that fails to encode.
+	if !allFinite(req.res.Resid2) || !allFinite(req.res.Coef...) || !allFinite(req.denoised...) {
+		writeError(w, http.StatusBadRequest, "serve: signal magnitude overflows float64 while coding", 0)
+		return
+	}
 
 	if kind == kindDenoise {
 		writeJSON(w, http.StatusOK, DenoiseResponse{
@@ -212,7 +219,6 @@ func (s *Server) Stats() Statsz {
 		Dicts:           make(map[string]ShardStats, len(s.names)),
 		PoolBudget:      mat.PoolBudget(),
 		PoolPeak:        mat.PoolPeakWorkers(),
-		BatchWindowMS:   float64(s.cfg.BatchWindow.Nanoseconds()) / 1e6,
 		BatchMax:        s.cfg.BatchMax,
 		QueueCap:        s.cfg.QueueCap,
 		LatencyBudgetMS: float64(s.cfg.LatencyBudget.Nanoseconds()) / 1e6,
@@ -240,6 +246,16 @@ func (s *Server) Stats() Statsz {
 		out.Dicts[name] = st
 	}
 	return out
+}
+
+// allFinite reports whether xs holds no NaN or infinity.
+func allFinite(xs ...float64) bool {
+	for _, v := range xs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // writeJSON renders v with the given status. An encode error here means

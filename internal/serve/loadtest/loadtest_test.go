@@ -2,7 +2,6 @@ package loadtest
 
 import (
 	"testing"
-	"time"
 
 	"extdict/internal/cluster/clustertest"
 	"extdict/internal/mat"
@@ -25,10 +24,9 @@ func unitDictionary(r *rng.RNG, m, l int) *mat.Dense {
 func TestLoadAgainstLiveServer(t *testing.T) {
 	d := unitDictionary(rng.New(42), 24, 64)
 	srv, err := serve.New(map[string]*mat.Dense{"d": d.Clone()}, serve.Config{
-		Tol:         0.05,
-		BatchWindow: 500 * time.Microsecond,
-		BatchMax:    16,
-		QueueCap:    1024,
+		Tol:      0.05,
+		BatchMax: 16,
+		QueueCap: 1024,
 	})
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)

@@ -48,10 +48,9 @@ func TestSoakEncodeRacingSwapAndDrain(t *testing.T) {
 
 	mat.ResetPoolPeak()
 	srv, err := New(map[string]*mat.Dense{"d": dicts[0]}, Config{
-		Tol:         0.05,
-		BatchWindow: 200 * time.Microsecond,
-		BatchMax:    8,
-		QueueCap:    1024,
+		Tol:      0.05,
+		BatchMax: 8,
+		QueueCap: 1024,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -5,7 +5,18 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"time"
 )
+
+// readHeaderTimeout bounds how long a connection may take to send a
+// request's headers, so a client trickling them (slowloris) cannot hold a
+// connection open. There is deliberately no body timeout: /v1/reloadz
+// bodies carry whole dictionaries. A variable only so tests can shorten it.
+var readHeaderTimeout = 10 * time.Second
+
+// idleTimeout bounds how long a keep-alive connection may sit between
+// requests.
+const idleTimeout = 2 * time.Minute
 
 // Handle is a running HTTP listener bound to a Server. It exists so that
 // callers outside the goroutine-allowlisted packages (cmd/extdict-serve,
@@ -27,8 +38,12 @@ func Start(addr string, srv *Server) (*Handle, error) {
 		return nil, err
 	}
 	h := &Handle{
-		srv:  srv,
-		http: &http.Server{Handler: srv.Mux()},
+		srv: srv,
+		http: &http.Server{
+			Handler:           srv.Mux(),
+			ReadHeaderTimeout: readHeaderTimeout,
+			IdleTimeout:       idleTimeout,
+		},
 		ln:   ln,
 		done: make(chan error, 1),
 	}

@@ -3,8 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +15,7 @@ import (
 	"time"
 
 	"extdict/internal/cluster"
+	"extdict/internal/cluster/clustertest"
 	"extdict/internal/mat"
 	"extdict/internal/matio"
 	"extdict/internal/omp"
@@ -398,5 +402,44 @@ func TestStartServesAndCloses(t *testing.T) {
 	}
 	if _, err := http.Get(base + "/v1/healthz"); err == nil {
 		t.Fatal("healthz after Close should fail to connect")
+	}
+}
+
+// TestStartClosesSlowHeaderConnections proves the slowloris bound: a
+// connection that sends half a request header and then stalls is closed by
+// the server once the header timeout expires, instead of being held open.
+func TestStartClosesSlowHeaderConnections(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 50 * time.Millisecond
+
+	srv, err := New(map[string]*mat.Dense{"d": unitDictionary(rng.New(19), 8, 16)}, Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	h, err := Start("127.0.0.1:0", srv)
+	if err != nil {
+		srv.Close()
+		t.Fatalf("Start: %v", err)
+	}
+	defer func() {
+		if err := h.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", h.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/encode HTTP/1.1\r\nHost: x\r\nContent-Type: app"); err != nil {
+		t.Fatalf("write half a header: %v", err)
+	}
+	// The watchdog's deadline is far past the server's: reaching it means
+	// the server never closed the stalled connection.
+	var n int
+	clustertest.Watchdog(t, func() { n, err = conn.Read(make([]byte, 1)) })
+	if n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("stalled connection read %d bytes, err %v; want the server to close it (EOF)", n, err)
 	}
 }

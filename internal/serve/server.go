@@ -2,23 +2,26 @@
 // holds hot dictionaries in memory as epoch-swapped immutable snapshots and
 // answers encode/denoise traffic from many concurrent clients.
 //
-// The core trick is request coalescing: each dictionary shard runs one
-// batcher goroutine that accumulates queued requests up to a batching
-// window or a panel-size cap and codes them in a single omp.BatchCoder pass
-// — the server queue becomes the batch dimension, so the blocked
-// ParATA/ParMulVec kernels amortize across users exactly as they amortize
-// across columns in a batch run. Admission is the paper's performance model
+// Each dictionary shard runs one work-conserving batcher goroutine: it
+// blocks for the first queued request, takes whatever else is already
+// queued (up to a panel-size cap) without waiting, and codes that panel at
+// once in a single omp.BatchCoder pass. Requests that arrive while a panel
+// codes form the next one, so panels grow with the backlog under load and
+// an idle coder never waits. Waiting to fill a panel would buy nothing: the
+// Gram matrix is built once per snapshot, not per panel, so the paper's
+// Eq. 2 encode price (perf.PredictEncodeBatch) is linear in the panel size
+// and a bigger panel adds only parallel fan-out. Admission is that model
 // turned live scheduler: every submit prices the queue with the Eq. 2
-// encode prediction (perf.PredictEncodeBatch) and sheds with 429 when the
-// modeled completion latency exceeds the configured budget.
+// prediction and sheds with 429 when the modeled completion latency exceeds
+// the configured budget.
 //
 // Concurrency shape (machine-checked by extdict-lint's sharedstate /
 // lockorder analyzers): snapshots are immutable and published through an
 // atomic pointer, so the encode path takes no lock; requests transfer
 // ownership over a bounded channel; the only mutex on the request path
-// guards the closed-vs-send race during drain. Wall time never enters the
-// package — the batching window comes from an injected Clock, keeping the
-// noclock invariant and making batch composition test-controllable.
+// guards the closed-vs-send race during drain. The package never reads the
+// wall clock (the noclock invariant): batching is driven by the queue
+// alone.
 package serve
 
 import (
@@ -35,10 +38,9 @@ import (
 // Config tunes the serving layer. The zero value is usable: every field
 // falls back to the documented default.
 type Config struct {
-	// BatchWindow is the maximum time the batcher waits to coalesce a
-	// panel after its first request arrives (default 2ms).
-	BatchWindow time.Duration
-	// BatchMax caps the columns per coded panel (default 32).
+	// BatchMax caps the columns per coded panel (default 32). The batcher
+	// never waits to fill a panel; the cap bounds how much backlog one
+	// panel takes.
 	BatchMax int
 	// QueueCap bounds each shard's queued-request count; submits beyond it
 	// shed with 429 (default 256).
@@ -57,16 +59,10 @@ type Config struct {
 	// Platform prices the admission model's Eq. 2 terms. The zero value
 	// becomes a single node with mat.Workers cores — the process itself.
 	Platform cluster.Platform
-	// Clock injects the batching-window timer (nil = WallClock). Tests
-	// substitute a VirtualClock to drive batch composition by hand.
-	Clock Clock
 }
 
 // withDefaults returns cfg with every unset field at its default.
 func (c Config) withDefaults() Config {
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
 	if c.BatchMax < 1 {
 		c.BatchMax = 32
 	}
@@ -81,9 +77,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Platform.Topology.P() < 1 {
 		c.Platform = cluster.NewPlatform(1, mat.Workers)
-	}
-	if c.Clock == nil {
-		c.Clock = WallClock{}
 	}
 	return c
 }

@@ -65,10 +65,9 @@ type shardStats struct {
 // request queue, and a single batcher goroutine that coalesces queued
 // requests into Batch-OMP panels.
 type shard struct {
-	name  string
-	rows  int // signal dimension M, fixed for the shard's lifetime
-	cfg   *Config
-	clock Clock
+	name string
+	rows int // signal dimension M, fixed for the shard's lifetime
+	cfg  *Config
 
 	snap   atomic.Pointer[snapshot]
 	swapMu sync.Mutex // serializes swaps so epochs increment exactly once
@@ -101,7 +100,6 @@ func newShard(name string, d *mat.Dense, cfg *Config) *shard {
 		name:  name,
 		rows:  d.Rows,
 		cfg:   cfg,
-		clock: cfg.Clock,
 		reqCh: make(chan *request, cfg.QueueCap),
 	}
 	sh.stats.hist = make([]atomic.Int64, cfg.BatchMax)
@@ -206,11 +204,12 @@ func (sh *shard) close() {
 }
 
 // run is the shard's batcher: the single goroutine that owns the consuming
-// end of the request queue. Each panel opens with the first queued request,
-// then coalesces more until either batchMax columns are buffered or the
-// injected batching window fires; the panel is then coded in one
-// omp.BatchCoder pass over the shared mat pool. When the queue closes
-// mid-fill the current panel still encodes before the goroutine exits.
+// end of the request queue. It is work-conserving: each panel opens with
+// the first queued request (blocking only while the queue is empty), takes
+// every request already buffered behind it up to batchMax without waiting,
+// and is coded at once in one omp.BatchCoder pass over the shared mat pool.
+// Requests that arrive meanwhile make up the next panel. When the queue
+// closes, the buffered requests still encode before the goroutine exits.
 func (sh *shard) run() {
 	// The batcher's steady state is allocation-free (hotalloc's serve
 	// contract): the request and column scratch live for the goroutine's
@@ -224,7 +223,6 @@ func (sh *shard) run() {
 		}
 		buf[0] = first
 		n := 1
-		window := sh.clock.After(sh.cfg.BatchWindow)
 	fill:
 		for n < sh.cfg.BatchMax {
 			select {
@@ -234,7 +232,7 @@ func (sh *shard) run() {
 				}
 				buf[n] = r
 				n++
-			case <-window:
+			default:
 				break fill
 			}
 		}

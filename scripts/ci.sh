@@ -6,8 +6,9 @@
 # and a check that -fix would not change any file), a diff of the static
 # collective schedule (-trace) against its golden, the full test suite with
 # an aggregate coverage floor, the race detector over every internal
-# package, and the GOMAXPROCS determinism matrix. Everything must pass for
-# a change to land.
+# package, the GOMAXPROCS determinism matrix, the perfbench module's vet,
+# tests and lint, and the bench and serving smoke gates. Everything must
+# pass for a change to land.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -157,6 +158,14 @@ for gmp in 1 2 "$ncpu"; do
     GOMAXPROCS=$gmp go test -count=1 -run 'TestPar' ./internal/mat/
     GOMAXPROCS=$gmp go test -count=1 ./internal/cluster/chaos/
 done
+
+echo "== perfbench (the repository benchmark must build, pass its tests and lint clean)"
+# perfbench is a module of its own, so the go build/vet/test steps above
+# never compile it: a change to a serve, omp or tune API could break the
+# benchmark unseen. Its tests run every workload at a small scale.
+go -C perfbench vet ./...
+go -C perfbench test -count=1 ./...
+go run ./cmd/extdict-lint ./perfbench/...
 
 echo "== bench smoke (kernel benchmarks must run)"
 # One iteration of every kernel microbenchmark: catches benchmarks that
