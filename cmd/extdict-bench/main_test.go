@@ -10,7 +10,7 @@ import (
 
 func TestRegistryCoversEveryArtifact(t *testing.T) {
 	reg := registry(3, 3)
-	want := []string{"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "tab2", "tab3", "serve", "fastdict"}
+	want := []string{"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "tab2", "tab3", "serve"}
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(reg), len(want))
 	}
@@ -65,8 +65,8 @@ func TestJSONOutputParses(t *testing.T) {
 	if rep.Schema != "extdict-bench/v1" {
 		t.Fatalf("schema %q", rep.Schema)
 	}
-	if len(rep.Kernels) != 5 {
-		t.Fatalf("want 5 kernel baselines, got %d", len(rep.Kernels))
+	if len(rep.Kernels) != 3 {
+		t.Fatalf("want 3 kernel baselines, got %d", len(rep.Kernels))
 	}
 	for _, k := range rep.Kernels {
 		if k.NsPerOp <= 0 || k.RefNsPerOp <= 0 {
@@ -75,18 +75,10 @@ func TestJSONOutputParses(t *testing.T) {
 		if k.Intensity <= 0 {
 			t.Fatalf("kernel %s carries no arithmetic intensity: %+v", k.Name, k)
 		}
-		// The roofline story the report encodes: BLAS-2 and the FastDict
-		// chain below the 0.4 flop/byte machine balance, the blocked ATA's
-		// panel reuse above it.
+		// The roofline story the report encodes: BLAS-2 below the 0.4
+		// flop/byte machine balance, the blocked ATA's panel reuse above it.
 		if wantCompute := k.Name == "ATA"; (k.Intensity >= 0.4) != wantCompute {
 			t.Fatalf("kernel %s intensity %.4f on the wrong side of the machine balance", k.Name, k.Intensity)
-		}
-		// The chain rows reference the blocked dense kernel applying the
-		// same reconstructed dictionary: error-matched by construction, so
-		// the chain must simply be faster (the committed baselines show
-		// 3-7×; >1 here keeps the gate robust to loaded CI machines).
-		if strings.HasPrefix(k.Name, "FastDict") && k.SpeedupVsGo <= 1 {
-			t.Fatalf("kernel %s not faster than the dense-dictionary reference: %+v", k.Name, k)
 		}
 	}
 	if len(rep.Experiments) != 1 || rep.Experiments[0].ID != "tab2" {
@@ -94,47 +86,5 @@ func TestJSONOutputParses(t *testing.T) {
 	}
 	if len(rep.Experiments[0].Metrics) == 0 {
 		t.Fatal("tab2 reported no metrics")
-	}
-}
-
-// TestJSONFastDictExperiment extends the -json gate to the FastDict family
-// sweep: the report must carry the fig7-comparable improvement keys and at
-// least one cell where the chain iteration beats the ExD one — the modeled
-// times are deterministic, so this holds at any scale.
-func TestJSONFastDictExperiment(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-json", "-exp", "fastdict", "-scale", "0.05"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var rep jsonReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if len(rep.Experiments) != 1 || rep.Experiments[0].ID != "fastdict" {
-		t.Fatalf("experiments: %+v", rep.Experiments)
-	}
-	m := rep.Experiments[0].Metrics
-	var improvements, chainWins int
-	for k, v := range m {
-		if strings.HasPrefix(k, "improvement_") {
-			improvements++
-			if v <= 0 {
-				t.Fatalf("metric %s = %v, want > 0", k, v)
-			}
-		}
-		if strings.HasPrefix(k, "vs_exd_") && v > 1 {
-			chainWins++
-		}
-	}
-	if improvements == 0 {
-		t.Fatalf("no improvement_* metrics in %v", m)
-	}
-	if chainWins == 0 {
-		t.Fatal("chain iteration never beat the ExD iteration")
-	}
-	for _, ds := range []string{"salinas", "cancercell", "lightfield"} {
-		if m["rel_error_"+ds] <= 0 || m["nnz_ratio_"+ds] <= 0 {
-			t.Fatalf("dataset %s missing factorization-quality metrics: %v", ds, m)
-		}
 	}
 }

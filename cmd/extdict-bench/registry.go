@@ -101,29 +101,6 @@ func registry(trials, components int) map[string]runner {
 			}
 			return artifact{Table: r.Table(), Metrics: m}, nil
 		},
-		"fastdict": func(c benchConfig) (artifact, error) {
-			r, err := experiments.FastDict(c.cfg())
-			if err != nil {
-				return artifact{}, err
-			}
-			m := map[string]float64{}
-			for _, ds := range r.Datasets {
-				m["rel_error_"+ds.Name] = ds.RelError
-				m["nnz_ratio_"+ds.Name] = ds.NNZRatio
-				for _, cell := range ds.Cells {
-					key := fmt.Sprintf("%s_P%d", ds.Name, cell.Platform.P())
-					// improvement_* matches fig7's key shape on purpose:
-					// fig7 reports ExtDict's speedup over AᵀA, this reports
-					// FastDict's, so the two baselines diff directly.
-					m["improvement_"+key] = cell.Improvement
-					m["vs_exd_"+key] = cell.VsExD
-					m["chosen_l_"+key] = float64(cell.ChosenL)
-					m["break_even_reuse_"+key] = float64(cell.BreakEvenReuse)
-					m["resident_fast_"+key] = float64(cell.Resident["FastDict"])
-				}
-			}
-			return artifact{Table: r.Table(), Metrics: m}, nil
-		},
 		"tab3": func(c benchConfig) (artifact, error) {
 			r, err := experiments.Table3(c.cfg())
 			if err != nil {

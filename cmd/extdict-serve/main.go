@@ -94,7 +94,9 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		d.NormalizeColumns()
+		if err := serve.NormalizeDict(d); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
 		loaded[name] = d
 		fmt.Printf("loaded %s: %dx%d from %s\n", name, d.Rows, d.Cols, path)
 	}

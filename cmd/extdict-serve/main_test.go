@@ -1,8 +1,10 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"extdict/internal/mat"
@@ -56,5 +58,25 @@ func TestRunLoadsDictionaries(t *testing.T) {
 	}
 	if _, statErr := os.Stat(path); statErr != nil {
 		t.Fatalf("dictionary file vanished: %v", statErr)
+	}
+}
+
+func TestRunRejectsUnnormalizableDictionary(t *testing.T) {
+	// A column whose squared norm overflows would be published as zeros
+	// or NaN; run must refuse it before it binds a listener.
+	for _, v := range []float64{math.Inf(1), 1e200} {
+		path := filepath.Join(t.TempDir(), "d.edm")
+		d := mat.NewDense(4, 6)
+		for i := range d.Data {
+			d.Data[i] = float64(i + 1)
+		}
+		d.Data[0] = v
+		if err := matio.Save(path, d); err != nil {
+			t.Fatalf("save: %v", err)
+		}
+		err := run([]string{"-dict", path, "-addr", "256.0.0.1:0"})
+		if err == nil || !strings.Contains(err.Error(), "unit norm") {
+			t.Errorf("entry %g: run error %v, want a normalization error", v, err)
+		}
 	}
 }

@@ -222,7 +222,6 @@ func cmdPower(args []string) error {
 	raw := fs.Bool("raw", false, "iterate on the untransformed AᵀA baseline")
 	seed := fs.Uint64("seed", 1, "random seed")
 	faults := fs.Uint64("faults", 0, "inject a deterministic fault schedule drawn from this seed and recover through the supervisor (0 = off)")
-	spec := transformFlags(fs, eps, raw, nil, seed)
 	nodes, cores := platformFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -236,7 +235,7 @@ func cmdPower(args []string) error {
 	}
 	plat := cluster.NewPlatform(*nodes, *cores)
 
-	build, err := buildOperatorOn(a, plat, spec())
+	build, err := buildOperatorOn(a, plat, opSpec{eps: *eps, raw: *raw, seed: *seed})
 	if err != nil {
 		return err
 	}

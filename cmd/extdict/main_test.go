@@ -48,11 +48,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		{"lasso", "-in", data, "-y", yPath, "-raw", "-iters", "20", "-out", filepath.Join(dir, "x.csv")},
 		{"lasso", "-in", data, "-y", yPath, "-sgd", "16", "-iters", "20"},
 		{"cluster", "-in", data, "-k", "2", "-raw"},
-		// FastDict operator family: explicit chain shape, and the
-		// modeled-cost auto decision.
-		{"power", "-in", data, "-k", "2", "-transform", "fastdict", "-factors", "3", "-nnzbudget", "400"},
-		{"lasso", "-in", data, "-y", yPath, "-transform", "fastdict", "-iters", "20"},
-		{"cluster", "-in", data, "-k", "2", "-transform", "auto", "-reuse", "100000"},
+		{"cluster", "-in", data, "-k", "2"},
 		// Chaos mode: the supervisor must absorb the injected faults and
 		// still return a solution.
 		{"lasso", "-in", data, "-y", yPath, "-raw", "-iters", "60", "-faults", "7", "-cores", "4"},

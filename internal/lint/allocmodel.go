@@ -234,19 +234,14 @@ func sharedContracts(shapes *shapeTable, opType string) map[string]symExpr {
 
 // matrixResident prices the steady-state payload of a recorded matrix
 // field: dense storage is 8·rows·cols; a CSC block is its value and
-// row-index payload (16·nnz) plus the column-pointer array (8·(cols+1)); a
-// FastDict factor chain is 8·ResidentWords — Σ (2·nnz_i + cols_i + 1) words
-// of values, row indices, and column pointers across the factors.
+// row-index payload (16·nnz) plus the column-pointer array (8·(cols+1)).
 func matrixResident(shapes *shapeTable, opType, key string) symExpr {
 	d := shapes.dims[opType][key]
-	switch shapes.kindOf(opType, key) {
-	case "csc":
+	if shapes.kindOf(opType, key) == "csc" {
 		return symAdd{
 			symMul{symConst(16), symVar("NNZ(" + key + ")")},
 			symMul{symConst(8), symAdd{d.cols, symConst(1)}},
 		}
-	case "faust":
-		return symMul{symConst(8), symVar("ResidentWords(" + key + ")")}
 	}
 	return symMul{symConst(8), symMul{d.rows, d.cols}}
 }

@@ -50,21 +50,15 @@ type CapacityReport struct {
 // column window are the n/P share of a uniform partition.
 func CapacityReference() map[string]map[string]int64 {
 	shape := func(m, n, l, nnz, p, batch int64) map[string]int64 {
-		// The FastDict bindings are the canonical k=4 chain at 4× dictionary
-		// compression — per-factor budget m·l/16, so the chain stores m·l/4
-		// entries in factors shaped m×l, l×l, l×l, l×l: resident words
-		// 2·(m·l/4) + 4·(l+1) and hop buffers as wide as the inner dimension.
 		return map[string]int64{
-			"m":                 m,
-			"l":                 l,
-			"n":                 n,
-			"a.Rows":            m,
-			"B":                 batch,
-			"NNZ(blocks[])":     nnz / p,
-			"ranges[][0]":       0,
-			"ranges[][1]":       n / p,
-			"ResidentWords(fd)": m*l/2 + 4*(l+1),
-			"MaxInterDim(fd)":   l,
+			"m":             m,
+			"l":             l,
+			"n":             n,
+			"a.Rows":        m,
+			"B":             batch,
+			"NNZ(blocks[])": nnz / p,
+			"ranges[][0]":   0,
+			"ranges[][1]":   n / p,
 		}
 	}
 	return map[string]map[string]int64{

@@ -9,7 +9,6 @@ import (
 
 	"extdict/internal/cluster"
 	"extdict/internal/dist"
-	"extdict/internal/faust"
 	"extdict/internal/perf"
 )
 
@@ -182,13 +181,6 @@ func TestPerfMemoryAgreesWithCapacityModel(t *testing.T) {
 
 	const M, N, L, NNZ, B, P = 128, 16384, 256, 524288, 64, 4
 	plat := cluster.NewPlatform(1, P)
-	plan := faust.NewPlan(M, L, 0, 0)
-	chain := perf.ChainTerms{
-		NNZ:           plan.NNZ(),
-		VecWords:      plan.VecWords(),
-		ResidentWords: plan.ResidentWords(),
-		InterDim:      int64(plan.InterDim()),
-	}
 	cases := []struct {
 		fn    string
 		words float64
@@ -202,18 +194,6 @@ func TestPerfMemoryAgreesWithCapacityModel(t *testing.T) {
 				"NNZ(blocks[])": NNZ / P,
 				"ranges[][0]":   0,
 				"ranges[][1]":   N / P,
-			},
-		},
-		{
-			fn:    "FastGram.applyCase1",
-			words: perf.PredictFastDict(M, N, L, NNZ, chain, plat).MemoryWordsPerRank,
-			bind: map[string]int64{
-				"m": M, "l": L,
-				"NNZ(blocks[])":     NNZ / P,
-				"ranges[][0]":       0,
-				"ranges[][1]":       N / P,
-				"ResidentWords(fd)": plan.ResidentWords(),
-				"MaxInterDim(fd)":   int64(plan.InterDim()),
 			},
 		},
 		{

@@ -6,22 +6,27 @@ import (
 )
 
 // TestConcEscapeSummaries pins the escape analysis against the real mat
-// pool: the analyzers never hard-code the trySubmit → ParallelChunks →
-// parallelFor chain, they derive it from which function-typed parameters
-// reach goroutines, composite literals, or channel sends. If the pool
-// plumbing is refactored these pins say whether the derivation kept up.
+// pool: the analyzers never hard-code the trySubmit → ParallelChunks
+// chain, they derive it from which function-typed parameters reach
+// goroutines, composite literals, or channel sends. If the pool plumbing is
+// refactored these pins say whether the derivation kept up. The sharedstate
+// fixture's forEachChunk pins one more hop: a helper that forwards its func
+// parameter into a pool sink only inside a literal.
 func TestConcEscapeSummaries(t *testing.T) {
 	prog, _ := loadModuleProgram(t)
+	fixture := NewProgram([]*Package{parseFixture(t, fixturePath("sharedstate", "fixture.go"), "extdict/internal/mat")})
 	pins := []struct {
-		id  string
-		bit uint
+		prog *Program
+		id   string
+		bit  uint
 	}{
-		{"extdict/internal/mat.trySubmit", 0},
-		{"extdict/internal/mat.parallelFor", 1},
-		{"extdict/internal/mat.ParallelChunks", 2},
+		{prog, "extdict/internal/mat.trySubmit", 0},
+		{prog, "extdict/internal/mat.ParallelChunks", 2},
+		{fixture, "extdict/internal/mat.submit", 0},
+		{fixture, "extdict/internal/mat.forEachChunk", 1},
 	}
 	for _, pin := range pins {
-		sum := prog.summaries[pin.id]
+		sum := pin.prog.summaries[pin.id]
 		if sum == nil {
 			t.Fatalf("no summary for %s", pin.id)
 		}

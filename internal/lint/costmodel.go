@@ -423,15 +423,6 @@ func (c *costWalk) kernelFlops(call *ast.CallExpr) (symExpr, bool) {
 			return symUnknown{}, true
 		}
 		return symMul{symConst(2), symVar("NNZ(" + name + ")")}, true
-	case "FastDict":
-		// Factor-chain apply: one multiply and one add per stored entry of
-		// every factor, Σ 2·nnz(S_i) — the FAµST cost the chain exists for.
-		// NNZ(fd) is the whole-chain population Σ nnz(S_i) recorded by the
-		// constructor analysis from g.chainNNZ = g.fd.NNZ().
-		if name == "" {
-			return symUnknown{}, true
-		}
-		return symMul{symConst(2), symVar("NNZ(" + name + ")")}, true
 	}
 	return nil, false
 }

@@ -11,7 +11,7 @@ import (
 // under-counts.
 var kernelCalls = map[string]bool{
 	"MulVec": true, "MulVecT": true, "Mul": true, "MulTo": true,
-	"ParMulVec": true, "ParMulVecT": true, "ParMulTo": true, "ParATA": true,
+	"ParMulVec": true, "ParMulVecT": true, "ParATA": true,
 	"ATA": true, "GramColumns": true,
 	"Dot": true, "Axpy": true, "AddVec": true, "SubVec": true,
 	"ScaleVec": true, "Norm2": true, "SolveInPlace": true,

@@ -3,7 +3,7 @@ package lint
 import "go/ast"
 
 // Goroutines restricts `go` statements to the four packages that own
-// concurrency: the cluster runtime (rank goroutines), mat (parallelFor),
+// concurrency: the cluster runtime (rank goroutines), mat (the worker pool),
 // omp (batch workers), and serve (per-shard batchers, the HTTP accept
 // loop, and the load-test clients). Concurrency anywhere else escapes the
 // flop accounting and the deterministic reduction order those packages

@@ -23,7 +23,6 @@ import (
 //	Dense MulVec/MulVecT (and Par* forms) 8·(rows·cols + rows + cols)
 //	CSC MulVec                            16·nnz + 8·(2·len(x) + len(y) + 1)
 //	CSC MulVecT                           16·nnz + 8·(len(x) + 2·len(y) + 1)
-//	FastDict MulVec/MulVecT (and Par*)    16·NNZ + 8·VecWords
 //	mat.Dot                               16·len(x)
 //	mat.Axpy                              24·len(x)
 //	mat.Zero                              8·len(x)
@@ -267,19 +266,6 @@ func (c *byteWalk) kernelBytes(call *ast.CallExpr) (symExpr, bool) {
 		return symAdd{
 			symMul{symConst(16), symVar("NNZ(" + name + ")")},
 			symMul{symConst(8), vecs},
-		}, true
-	case "FastDict":
-		// Factor-chain apply: each CSC hop streams 16·nnz_i + 8·(rows_i +
-		// 2·cols_i + 1) bytes — identically in both directions, since the
-		// cols-side vector is double-passed either way — which sums to
-		// 16·NNZ(fd) + 8·VecWords(fd) with VecWords ≡ Σ (rows_i + 2·cols_i
-		// + 1), the alias the constructor records from g.fd.VecWords().
-		if name == "" {
-			return symUnknown{}, true
-		}
-		return symAdd{
-			symMul{symConst(16), symVar("NNZ(" + name + ")")},
-			symMul{symConst(8), symVar("VecWords(" + name + ")")},
 		}, true
 	}
 	return nil, false

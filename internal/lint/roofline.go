@@ -42,10 +42,7 @@ type RooflineReport struct {
 // RooflineReference returns the documented reference shape the roofline
 // intensities are evaluated at: a mid-sized paper instance — M=512 signal
 // rows, L=128 dictionary atoms, a 256-column rank window holding 8192
-// stored coefficients, SGD batches of 64. The FastDict bindings are the
-// canonical chain at that shape — k=4 factors (one 512×128 plus three
-// 128×128) at 1024 stored entries each, so NNZ(fd) = 4096 and
-// VecWords(fd) = (512+2·128+1) + 3·(3·128+1) = 1924. Intensity ratios vary
+// stored coefficients, SGD batches of 64. Intensity ratios vary
 // only weakly with shape (both polynomials are dominated by the same
 // leading term), so one documented point suffices to classify every kernel.
 func RooflineReference() map[string]int64 {
@@ -56,8 +53,6 @@ func RooflineReference() map[string]int64 {
 		"ranges[][0]":   0,
 		"ranges[][1]":   256,
 		"len(batch)":    64,
-		"NNZ(fd)":       4096,
-		"VecWords(fd)":  1924,
 	}
 }
 

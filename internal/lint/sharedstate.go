@@ -16,7 +16,7 @@ import (
 // statement and literals handed to a pool sink — any callee parameter the
 // escape analysis (conc.go) proves to reach a `go` statement or a job
 // channel, which resolves the internal/mat worker-pool chain
-// (ParallelChunks → parallelFor → trySubmit) without a hard-coded list.
+// (ParallelChunks → trySubmit) without a hard-coded list.
 var SharedState = &Analyzer{
 	Name: "sharedstate",
 	Doc: "variables captured by goroutines or pool-submitted closures must be lock-guarded, atomic, channel-transferred, or frozen before launch; " +

@@ -228,10 +228,10 @@ type dimPair struct{ rows, cols symExpr }
 // shape-uniformity the collective schedule relies on.
 // For the allocmodel analyzer the table also records, per key, the byte
 // size of one slice element (sizes) and the storage kind of a matrix field
-// (kinds: "dense", "csc", or "faust") — together these turn the shape
-// entries into allocation contracts (8 bytes per dense matrix entry or
-// float64 slot; 16·nnz + 8·(cols+1) for a CSC block's value/row-index
-// payload plus column pointers; 8·ResidentWords for a factor chain).
+// (kinds: "dense" or "csc") — together these turn the shape entries into
+// allocation contracts (8 bytes per dense matrix entry or float64 slot;
+// 16·nnz + 8·(cols+1) for a CSC block's value/row-index payload plus
+// column pointers).
 type shapeTable struct {
 	lens  map[string]map[string]symExpr // type -> key -> slice length
 	dims  map[string]map[string]dimPair // type -> key -> matrix dims
@@ -393,11 +393,6 @@ func (t *shapeTable) scanConstructor(pkg *Package, body *ast.BlockStmt) {
 				switch sel.Sel.Name {
 				case "NNZ":
 					t.setSubst(tn, key, "NNZ("+recv.render()+")")
-				case "VecWords", "ResidentWords", "MaxInterDim":
-					// Factor-chain aggregates precomputed off a FastDict
-					// field: chainVecs ≡ VecWords(fd) etc., the symbols the
-					// chain kernel contracts are written in.
-					t.setSubst(tn, key, sel.Sel.Name+"("+recv.render()+")")
 				case "ColRange", "ColSliceRange":
 					// A column window [lo, hi) of the receiver: rows carry
 					// over, cols are the window width. ColRange windows are
@@ -603,8 +598,6 @@ func fieldKind(st *types.Struct, field string) string {
 			return "dense"
 		case "CSC":
 			return "csc"
-		case "FastDict":
-			return "faust"
 		}
 	}
 	return ""

@@ -134,18 +134,6 @@ func TestParMulVecMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestParMulToMatchesSerial(t *testing.T) {
-	r := rng.New(10)
-	a := randomDense(r, 120, 30)
-	b := randomDense(r, 30, 25)
-	got := NewDense(120, 25)
-	ParMulTo(got, a, b)
-	want := Mul(a, b)
-	if !Equal(got, want, 1e-10) {
-		t.Fatal("ParMulTo differs from Mul")
-	}
-}
-
 func TestVectorOps(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{4, 5, 6}

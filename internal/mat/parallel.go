@@ -47,19 +47,6 @@ func ParallelChunks(n, w int, body func(c, lo, hi int)) {
 	wg.Wait()
 }
 
-// parallelFor runs body(lo, hi) over a partition of [0, n) in at most
-// Workers chunks via the shared pool. Small n runs inline.
-func parallelFor(n int, body func(lo, hi int)) {
-	w := Workers
-	if w <= 1 || n < parallelThreshold {
-		if n > 0 {
-			body(0, n)
-		}
-		return
-	}
-	ParallelChunks(n, w, func(_, lo, hi int) { body(lo, hi) })
-}
-
 // ParMulVec computes y = A·x with output rows split across the worker pool.
 // Semantics match MulVec. Each y[i] is produced by exactly one chunk with the
 // serial kernel, and chunk boundaries are rounded down to multiples of the
@@ -102,26 +89,6 @@ func (m *Dense) ParMulVec(x, y []float64) []float64 {
 	mulVecRows(m, x, y[:hi0], 0, hi0)
 	wg.Wait()
 	return y
-}
-
-// ParMulTo computes dst = A·B with output rows split across the worker pool.
-// Semantics match MulTo; each dst row is owned by one chunk, so the result
-// is deterministic at any worker count.
-func ParMulTo(dst, a, b *Dense) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic("mat: ParMulTo dimension mismatch")
-	}
-	parallelFor(a.Rows, func(lo, hi int) {
-		sub := &Dense{Rows: hi - lo, Cols: a.Cols, Stride: a.Stride, Data: a.Data[lo*a.Stride:]}
-		dsub := &Dense{Rows: hi - lo, Cols: dst.Cols, Stride: dst.Stride, Data: dst.Data[lo*dst.Stride:]}
-		for i := 0; i < dsub.Rows; i++ {
-			Zero(dsub.Row(i))
-		}
-		for jLo := 0; jLo < b.Cols; jLo += mulToTileJ {
-			jHi := min(jLo+mulToTileJ, b.Cols)
-			mulToPanel(dsub, sub, b, jLo, jHi)
-		}
-	})
 }
 
 // parMulVecTBufs recycles the per-worker partial vectors of ParMulVecT.

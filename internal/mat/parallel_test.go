@@ -45,32 +45,6 @@ func TestParallelChunksCoversExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestParallelForCoversExactlyOnce audits the parallelFor partition under
-// pinned Workers across the same grid (the regression for the clamped-w /
-// short-final-chunk arithmetic).
-func TestParallelForCoversExactlyOnce(t *testing.T) {
-	defer func(w int) { Workers = w }(Workers)
-	for _, n := range []int{0, 1, 255, 256, 257, 1000} {
-		for _, w := range []int{1, 2, 3, 7, 8} {
-			Workers = w
-			visits := make([]int32, n)
-			var mu sync.Mutex
-			parallelFor(n, func(lo, hi int) {
-				mu.Lock()
-				for i := lo; i < hi; i++ {
-					visits[i]++
-				}
-				mu.Unlock()
-			})
-			for i, v := range visits {
-				if v != 1 {
-					t.Fatalf("n=%d Workers=%d: index %d visited %d times", n, w, i, v)
-				}
-			}
-		}
-	}
-}
-
 func TestParMulVecTMatchesSerial(t *testing.T) {
 	r := rng.New(11)
 	a := randomDense(r, 400, 37)

@@ -150,78 +150,6 @@ func PredictTransformed(m, n, l, nnz int, plat cluster.Platform) Estimate {
 	return e
 }
 
-// ChainTerms carries the whole-chain invariants of a FAµST factor chain
-// D ≈ S_1·…·S_k into the Eq. 2/3/4 predictions — the same four symbols the
-// allocmodel and memmodel contracts are proven in, so a perf estimate and a
-// lint polynomial always speak about the same chain.
-type ChainTerms struct {
-	// NNZ is Σ nnz(S_i), the stored entries across all factors.
-	NNZ int64
-	// VecWords is Σ (rows_i + 2·cols_i + 1), the dense-vector words one
-	// chain apply streams alongside the factor payloads (either direction).
-	VecWords int64
-	// ResidentWords is Σ (2·nnz_i + cols_i + 1), the chain's resident
-	// footprint in 8-byte words.
-	ResidentWords int64
-	// InterDim is the widest intermediate vector between factor hops.
-	InterDim int64
-}
-
-// PredictFastDict predicts one iteration of Algorithm 2 with the dense
-// dictionary replaced by a FAµST factor chain: the schedule — and therefore
-// every communication term — is PredictTransformed's, but the two
-// dictionary applications cost Σ 2·nnz(S_i) flops each instead of 2·M·L,
-// and the resident dictionary term shrinks from M·L words to the chain
-// payload. Eq. 2 becomes
-//
-//	time ≈ (4·nnz/P + 4·Σnnz(S_i))·c_f + 2·min(M, L)·c_w + latency
-//
-// which is why the tuner can prefer the chain exactly when the factor
-// budget undercuts M·L (amortized factorization cost permitting).
-func PredictFastDict(m, n, l, nnz int, chain ChainTerms, plat cluster.Platform) Estimate {
-	p := float64(plat.Topology.P())
-	minML := float64(min(m, l))
-
-	sparseCritical := 4 * float64(nnz) / p
-	chainCritical := 4 * float64(chain.NNZ)
-	e := Estimate{
-		FlopsCritical: sparseCritical + chainCritical,
-		PathWords:     2 * minML,
-		TotalWords:    2 * minML * (p - 1),
-	}
-	// Chain flops once across ranks in Case 1 (rank 0), P times in Case 2
-	// (replicated), exactly as the dense dictionary's.
-	chainTotal := chainCritical
-	if l > m {
-		chainTotal *= p
-	}
-	e.FlopsTotal = 4*float64(nnz) + chainTotal
-
-	// Bytes mirror the FastGram AddBytes claims: the two sparse products as
-	// in PredictTransformed; the two chain applies each stream the factor
-	// payloads (16·Σnnz_i) plus the hop vectors (8·VecWords).
-	sparseBytes := 32*float64(nnz)/p + 32*float64(n)/p + 16*float64(l) + 16
-	chainBytes := 2 * (16*float64(chain.NNZ) + 8*float64(chain.VecWords))
-	e.BytesCritical = sparseBytes + chainBytes
-	chainBytesTotal := chainBytes
-	if l > m {
-		chainBytesTotal *= p
-	}
-	e.BytesTotal = 32*float64(nnz) + 32*float64(n) + (16*float64(l)+16)*p + chainBytesTotal
-
-	c := plat.Cost
-	e.Time = e.FlopsCritical*c.FlopTime + e.BytesCritical*c.MemByteTime +
-		e.PathWords*plat.WordTime() + latencyTerm(plat, 2)
-	e.EnergyJ = e.FlopsTotal*c.FlopEnergy + e.TotalWords*plat.WordEnergy()
-	// The worst rank's resident set (allocmodel's FastGram.applyCase1
-	// polynomial, rank 0, in words): the chain payload replaces M·L, the CSC
-	// block and workspace vectors stay, and the two hop buffers add
-	// 2·InterDim.
-	e.MemoryWordsPerRank = float64(chain.ResidentWords) + 2*float64(nnz)/p +
-		float64(n)/p + float64(m) + 2*float64(l) + 2*float64(chain.InterDim) + 1
-	return e
-}
-
 // PredictDense predicts one iteration of the untransformed baseline
 // y = AᵀA·x with A column-partitioned: 4·M·N/P critical flops and 2·M
 // critical words.

@@ -6,9 +6,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 
 	"extdict/internal/mat"
+	"extdict/internal/matio"
 	"extdict/internal/omp"
 	"extdict/internal/rng"
 )
@@ -97,6 +99,104 @@ func FuzzCodeHandlers(f *testing.F) {
 		for i := range wantY {
 			if math.Float64bits(got.Denoised[i]) != math.Float64bits(wantY[i]) {
 				t.Fatalf("denoised[%d] bits differ: got %v want %v", i, got.Denoised[i], wantY[i])
+			}
+		}
+	})
+}
+
+// FuzzReload asserts the POST /v1/reloadz contract for arbitrary bodies,
+// formats and dictionary names: the handler never panics and answers only
+// 200, 400 or 404. A rejection leaves the published epoch alone. Every 200
+// publishes the next epoch with finite entries and every column of norm 1
+// or 0, and no column that is nonzero in the body is published as zeros:
+// a reload can never hand the coder a NaN or dead atom.
+func FuzzReload(f *testing.F) {
+	d := unitDictionary(rng.New(67), 3, 4)
+	srv, err := New(map[string]*mat.Dense{"d": d}, Config{})
+	if err != nil {
+		f.Fatalf("New: %v", err)
+	}
+	f.Cleanup(srv.Close)
+
+	var csv, edm bytes.Buffer
+	if err := matio.WriteCSV(&csv, d); err != nil {
+		f.Fatalf("write csv: %v", err)
+	}
+	if err := matio.WriteBinary(&edm, d); err != nil {
+		f.Fatalf("write edm: %v", err)
+	}
+	f.Add("csv", "d", csv.Bytes())
+	f.Add("edm", "", edm.Bytes())
+	f.Add("", "d", edm.Bytes())
+	f.Add("csv", "nope", csv.Bytes())                         // unknown dictionary
+	f.Add("xml", "d", csv.Bytes())                            // unknown format
+	f.Add("csv", "d", []byte("1,0\n0,1\n0,0\n"))              // a valid 3×2 replacement
+	f.Add("csv", "d", []byte("1,0\n0,0\n0,0\n"))              // an all-zero column
+	f.Add("csv", "d", []byte("Inf,0\n0,1\n0,0\n"))            // Inf entry
+	f.Add("csv", "d", []byte("1e200,0\n1e200,1\n0,0\n"))      // ‖column‖² overflows
+	f.Add("csv", "d", []byte("2e-162,0\n0,1\n0,0\n"))         // ‖column‖² subnormal
+	f.Add("csv", "d", []byte("1e-170,0\n0,1\n0,0\n"))         // ‖column‖² underflows to 0
+	f.Add("csv", "d", []byte("1,0,0\n0,1,0\n0,0,1\n0,0,0\n")) // wrong row count
+	f.Fuzz(func(t *testing.T, format, dict string, body []byte) {
+		before, err := srv.Epoch("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := url.Values{"dict": {dict}, "format": {format}}
+		rec := httptest.NewRecorder()
+		srv.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/reloadz?"+q.Encode(), bytes.NewReader(body)))
+
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusNotFound:
+			var er ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == "" {
+				t.Fatalf("status %d without an error body: %q", rec.Code, rec.Body.Bytes())
+			}
+			if after, _ := srv.Epoch("d"); after != before {
+				t.Fatalf("status %d moved the epoch %d -> %d", rec.Code, before, after)
+			}
+			return
+		default:
+			t.Fatalf("status %d for format %q, dict %q, body %q", rec.Code, format, dict, body)
+		}
+
+		var rl ReloadResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &rl); err != nil {
+			t.Fatalf("200 body does not decode: %v: %q", err, rec.Body.Bytes())
+		}
+		snap := srv.shards["d"].snap.Load()
+		pub := snap.dict
+		if rl.Epoch != before+1 || snap.epoch != rl.Epoch || rl.Rows != pub.Rows || rl.Cols != pub.Cols {
+			t.Fatalf("reload %+v against published %dx%d at epoch %d (was %d)", rl, pub.Rows, pub.Cols, snap.epoch, before)
+		}
+		// Decode the body the way the handler does.
+		var in *mat.Dense
+		if format == "csv" {
+			in, err = matio.ReadCSV(bytes.NewReader(body))
+		} else {
+			in, err = matio.ReadBinary(bytes.NewReader(body))
+		}
+		if err != nil {
+			t.Fatalf("200 for a body the decoder rejects: %v", err)
+		}
+		for j := 0; j < pub.Cols; j++ {
+			var ss float64
+			live, wasLive := false, false
+			for i := 0; i < pub.Rows; i++ {
+				v := pub.At(i, j)
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("published entry (%d,%d) = %v", i, j, v)
+				}
+				ss += v * v
+				live = live || v != 0
+				wasLive = wasLive || in.At(i, j) != 0
+			}
+			if n := math.Sqrt(ss); n != 0 && math.Abs(n-1) > 1e-9 {
+				t.Fatalf("published column %d has norm %v, want 1 or 0", j, n)
+			}
+			if wasLive && !live {
+				t.Fatalf("nonzero body column %d published as zeros", j)
 			}
 		}
 	})

@@ -170,7 +170,8 @@ func (s *Server) handleCode(w http.ResponseWriter, r *http.Request, kind reqKind
 
 // handleReload hot-swaps a dictionary from the request body: a CSV or EDM
 // binary matrix (query parameter format=csv|edm), columns normalized
-// before publication.
+// before publication. A body with a column NormalizeDict cannot scale to
+// unit norm is a 400 and leaves the published epoch alone.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("dict")
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
@@ -189,7 +190,10 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad matrix body: "+err.Error(), 0)
 		return
 	}
-	d.NormalizeColumns()
+	if err := NormalizeDict(d); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error(), 0)
+		return
+	}
 	epoch, err := s.Swap(name, d)
 	if err != nil {
 		status := http.StatusBadRequest

@@ -243,7 +243,7 @@ func TestReloadSwapsEpoch(t *testing.T) {
 	r := rng.New(9)
 	d1 := unitDictionary(r, 10, 24)
 	d2 := unitDictionary(r, 10, 30)
-	_, ts := newTestServer(t, map[string]*mat.Dense{"d": d1}, Config{Tol: 0.05})
+	srv, ts := newTestServer(t, map[string]*mat.Dense{"d": d1}, Config{Tol: 0.05})
 
 	var csv bytes.Buffer
 	if err := matio.WriteCSV(&csv, d2); err != nil {
@@ -287,19 +287,37 @@ func TestReloadSwapsEpoch(t *testing.T) {
 	}
 	sameResult(t, got, want)
 
-	// A mismatched shape is rejected and the epoch stays put.
-	bad := unitDictionary(r, 4, 6)
-	var badCSV bytes.Buffer
-	if err := matio.WriteCSV(&badCSV, bad); err != nil {
-		t.Fatalf("write csv: %v", err)
+	// Rejected bodies answer 400 and the epoch stays put: a mismatched
+	// shape, and columns whose squared norm overflows, which normalizing
+	// would publish as a dead (zero or NaN) atom.
+	poisoned := func(v float64) *mat.Dense {
+		d := d2.Clone()
+		d.Set(0, 0, v)
+		return d
 	}
-	resp, err = http.Post(ts.URL+"/v1/reloadz?dict=d&format=csv", "text/csv", &badCSV)
-	if err != nil {
-		t.Fatalf("reloadz: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad shape: status %d want 400", resp.StatusCode)
+	for _, tc := range []struct {
+		name string
+		d    *mat.Dense
+	}{
+		{"bad shape", unitDictionary(r, 4, 6)},
+		{"Inf entry", poisoned(math.Inf(1))},
+		{"overflowing norm", poisoned(1e200)},
+	} {
+		var badCSV bytes.Buffer
+		if err := matio.WriteCSV(&badCSV, tc.d); err != nil {
+			t.Fatalf("write csv: %v", err)
+		}
+		resp, err = http.Post(ts.URL+"/v1/reloadz?dict=d&format=csv", "text/csv", &badCSV)
+		if err != nil {
+			t.Fatalf("reloadz: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d want 400", tc.name, resp.StatusCode)
+		}
+		if epoch, err := srv.Epoch("d"); err != nil || epoch != 2 {
+			t.Errorf("%s: epoch %d (%v) after a rejected reload, want 2", tc.name, epoch, err)
+		}
 	}
 }
 

@@ -26,6 +26,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -132,6 +133,33 @@ func New(dicts map[string]*mat.Dense, cfg Config) (*Server, error) {
 		}()
 	}
 	return s, nil
+}
+
+// minColumnNorm is √(smallest normal float64). A nonzero column whose norm
+// lies below it has a subnormal squared norm: NormalizeColumns then scales
+// it inexactly (a lone 2e-162 entry scales to 0.90) or, once the square
+// underflows to 0, zeroes it.
+const minColumnNorm = 0x1p-511
+
+// NormalizeDict scales every column of d to unit Euclidean norm in place,
+// the form New and Swap expect, and fails when a nonzero column cannot get
+// there: its squared norm overflows (an Inf entry, or finite entries as
+// large as 1e200), which would zero the column or fill it with NaN, or it
+// underflows. All-zero columns stay zero. On error d is left partly scaled
+// and must be discarded.
+func NormalizeDict(d *mat.Dense) error {
+	live := make([]bool, d.Cols)
+	for i := 0; i < d.Rows; i++ {
+		for j, v := range d.Row(i) {
+			live[j] = live[j] || v != 0
+		}
+	}
+	for j, n := range d.NormalizeColumns() {
+		if math.IsInf(n, 0) || (live[j] && n < minColumnNorm) {
+			return fmt.Errorf("serve: dictionary column %d has norm %g and cannot be scaled to unit norm", j, n)
+		}
+	}
+	return nil
 }
 
 // Names returns the served dictionary names in sorted order.

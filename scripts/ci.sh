@@ -87,17 +87,6 @@ echo "== extdict-lint -checks allocmodel (tree must be capacity-model clean)"
 # claims about nothing. Kept explicit like the memmodel assert above.
 go run ./cmd/extdict-lint -checks allocmodel ./...
 
-echo "== extdict-lint cost trio over the FastDict family (zero suppressions)"
-# The FastDict chain contracts (2·NNZ flops, 16·NNZ + 8·VecWords bytes,
-# 8·ResidentWords resident) must prove symbolically with no escape hatch:
-# the full runs above cover these packages, but the suppression scan keeps
-# "proven, not waived" explicit for the newest operator family.
-go run ./cmd/extdict-lint -checks costmodel,memmodel,allocmodel ./internal/faust/... ./internal/dist/...
-if grep -rn "lint:ignore" internal/faust/ internal/dist/fast.go; then
-    echo "the FastDict sources must stay suppression-free; every claim is provable" >&2
-    exit 1
-fi
-
 echo "== extdict-lint -trace (static schedule must match the golden)"
 # The schedule analyzer's static collective traces are a reviewed artifact:
 # any drift in an operator's reduce/broadcast schedule must be deliberate.
@@ -169,15 +158,13 @@ go run ./cmd/extdict-lint ./perfbench/...
 
 echo "== bench smoke (kernel benchmarks must run)"
 # One iteration of every kernel microbenchmark: catches benchmarks that
-# panic or no longer compile without paying the full measurement cost. The
-# faust chain benches ride along with mat/omp.
-go test -run '^$' -bench . -benchtime 1x -count=1 ./internal/mat/ ./internal/omp/ ./internal/faust/ ./internal/dist/ >/dev/null
+# panic or no longer compile without paying the full measurement cost.
+go test -run '^$' -bench . -benchtime 1x -count=1 ./internal/mat/ ./internal/omp/ ./internal/dist/ >/dev/null
 
 echo "== extdict-bench -json (report must be machine-readable)"
-# The JSON baseline pipeline behind BENCH_PR5.json/BENCH_PR10.json: emit
-# tiny-scale reports — including the FastDict kernel rows and family sweep —
-# and re-parse them with the Go decoder the tests use.
-go test -run 'TestJSONOutputParses|TestJSONFastDictExperiment' -count=1 ./cmd/extdict-bench/ >/dev/null
+# The JSON baseline pipeline behind BENCH_PR5.json/BENCH_PR10.json: emit a
+# tiny-scale report and re-parse it with the Go decoder the tests use.
+go test -run 'TestJSONOutputParses' -count=1 ./cmd/extdict-bench/ >/dev/null
 
 echo "== serve smoke (binary round-trip and clean shutdown)"
 # The serving binary end to end: load a generated dictionary, bind a free
