@@ -144,10 +144,15 @@ func cmdTune(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("tuned for %s (%s objective) in %v over %d subset rounds %v\n",
+	fmt.Printf("tuned for %s (%s objective) in %v over %d nested prefixes %v\n",
 		plat.Topology, obj, sw.Elapsed().Round(time.Millisecond), res.Rounds, res.SubsetSizes)
 	fmt.Printf("%-7s %-9s %-9s %-9s %-12s %s\n", "L", "alpha", "feasible", "error", "pred-cost", "")
 	for _, c := range res.Candidates {
+		if c.Pruned {
+			fmt.Printf("%-7d %-9s %-9s %-9s %-12.3g  pruned: its nnz=0 bound cannot win\n",
+				c.L, "-", "-", "-", c.Estimate.Cost(obj))
+			continue
+		}
 		marker := ""
 		if c.L == res.Best.L {
 			marker = "  <= selected"

@@ -78,17 +78,23 @@ func Fit(a *mat.Dense, p Params) (*Transform, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	r := rng.New(p.Seed)
-
 	// Step 0-1: sample L column indices uniformly at random; load D.
-	idx := r.Subset(a.Cols, p.L)
-	d := a.ColSlice(idx)
+	idx, d := Draw(a, p.L, p.Seed)
 
 	// Steps 2-3: every processor codes its block of columns with OMP.
 	coder := omp.NewBatchCoder(d)
 	c, iters := coder.EncodeColumns(a, p.Epsilon, p.MaxAtoms, workers)
 
 	return &Transform{D: d, C: c, DictIdx: idx, OMPIters: iters, Params: p}, nil
+}
+
+// Draw samples the dictionary Fit uses for size l and seed: l column indices
+// of a drawn uniformly at random, in increasing order, and the M×l matrix of
+// those columns. Anyone who codes A against Draw's dictionary in pieces gets
+// the codes Fit would, column for column.
+func Draw(a *mat.Dense, l int, seed uint64) (idx []int, d *mat.Dense) {
+	idx = rng.New(seed).Subset(a.Cols, l)
+	return idx, a.ColSlice(idx)
 }
 
 // L returns the current dictionary size (it grows under evolving-data

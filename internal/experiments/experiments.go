@@ -13,9 +13,7 @@ import (
 	"strings"
 
 	"extdict/internal/dataset"
-	"extdict/internal/exd"
 	"extdict/internal/rng"
-	"extdict/internal/tune"
 )
 
 // Config scales and seeds an experiment run.
@@ -99,13 +97,6 @@ func geometric(lo, hi, points int) []int {
 		out = append(out, hi)
 	}
 	return out
-}
-
-// tuneFit runs the final full-data ExD fit at the tuner-selected L.
-func tuneFit(u *dataset.Union, l int, tcfg tune.Config) (*exd.Transform, error) {
-	return exd.Fit(u.A, exd.Params{
-		L: l, Epsilon: tcfg.Epsilon, Workers: tcfg.Workers, Seed: tcfg.Seed,
-	})
 }
 
 // tableWriter accumulates aligned text tables.

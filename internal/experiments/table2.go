@@ -12,11 +12,14 @@ import (
 // Table2Row is one dataset's preprocessing overhead.
 type Table2Row struct {
 	Dataset   string
-	TuningMS  float64 // wall time of the subset-based L search
-	TransfMS  float64 // wall time of the final full-data ExD fit
+	TuningMS  float64 // wall time of the prefix-based L search
+	TransfMS  float64 // wall time of coding the rest and checking ε
 	OverallMS float64
 	ChosenL   int
 	Alpha     float64
+	// RelError is the tuned transform's relative error on the full data,
+	// which TuneAndFit guarantees is within ε.
+	RelError float64
 	// ResidentBytes is the Eq. 4 capacity prediction for iterating the
 	// tuned transform on the target platform: the worst rank's peak
 	// resident set (perf.Estimate.MemoryWordsPerRank, in bytes).
@@ -44,31 +47,21 @@ func Table2(cfg Config) (*Table2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		tcfg := tune.Config{
+		fit, tr, err := tune.TuneAndFit(u.A, plat, tune.Config{
 			Epsilon: 0.1, Workers: cfg.Workers, Seed: cfg.Seed,
-		}
-		sw := perf.StartWall()
-		tr, err := tune.Tune(u.A, plat, tcfg)
+		})
 		if err != nil {
 			return nil, err
 		}
-		tuneDur := sw.Elapsed()
-
-		sw = perf.StartWall()
-		fit, err := tuneFit(u, tr.Best.L, tcfg)
-		if err != nil {
-			return nil, err
-		}
-		fitDur := sw.Elapsed()
-
 		est := perf.PredictTransformed(u.A.Rows, u.A.Cols, fit.L(), fit.C.NNZ(), plat)
 		res.Rows = append(res.Rows, Table2Row{
 			Dataset:       name,
-			TuningMS:      float64(tuneDur.Microseconds()) / 1000,
-			TransfMS:      float64(fitDur.Microseconds()) / 1000,
-			OverallMS:     float64((tuneDur + fitDur).Microseconds()) / 1000,
+			TuningMS:      float64(tr.TuneWall.Microseconds()) / 1000,
+			TransfMS:      float64(tr.FitWall.Microseconds()) / 1000,
+			OverallMS:     float64((tr.TuneWall + tr.FitWall).Microseconds()) / 1000,
 			ChosenL:       fit.L(),
 			Alpha:         fit.Alpha(),
+			RelError:      fit.RelError(u.A),
 			ResidentBytes: 8 * est.MemoryWordsPerRank,
 		})
 	}
@@ -77,7 +70,7 @@ func Table2(cfg Config) (*Table2Result, error) {
 
 // Table renders the overhead rows.
 func (r *Table2Result) Table() string {
-	tw := &tableWriter{header: []string{"dataset", "tuning(ms)", "transform(ms)", "overall(ms)", "L*", "alpha"}}
+	tw := &tableWriter{header: []string{"dataset", "tuning(ms)", "transform(ms)", "overall(ms)", "L*", "alpha", "error"}}
 	for _, row := range r.Rows {
 		tw.addRow(row.Dataset,
 			fmt.Sprintf("%.1f", row.TuningMS),
@@ -85,6 +78,7 @@ func (r *Table2Result) Table() string {
 			fmt.Sprintf("%.1f", row.OverallMS),
 			fmt.Sprintf("%d", row.ChosenL),
 			fmt.Sprintf("%.3f", row.Alpha),
+			fmt.Sprintf("%.4f", row.RelError),
 		)
 	}
 	return fmt.Sprintf("Table II — preprocessing overhead (tuning + ExD) targeting %s\n%s",

@@ -90,6 +90,7 @@ type Workspace struct {
 	gammaRHS []float64 // (Dᵀa)_φ in selection order
 	gamma    []float64 // current coefficients
 	cross    []float64 // Gram cross-correlations of the newest atom
+	idx      []int     // selected atoms in selection order
 	selected []bool
 	rows     [][]float64 // Gram rows of the selected atoms, selection order
 	chol     *mat.Cholesky
@@ -113,9 +114,11 @@ func (w *Workspace) reset(l, maxAtoms int) {
 		w.gammaRHS = make([]float64, 0, maxAtoms)
 		w.gamma = make([]float64, 0, maxAtoms)
 		w.cross = make([]float64, maxAtoms)
+		w.idx = make([]int, 0, maxAtoms)
 		w.rows = make([][]float64, 0, maxAtoms)
 	}
 	w.gammaRHS = w.gammaRHS[:0]
+	w.idx = w.idx[:0]
 	w.gamma = w.gamma[:0]
 	w.rows = w.rows[:0]
 	if w.chol == nil {
@@ -160,10 +163,9 @@ func (bc *BatchCoder) Encode(a []float64, tol float64, maxAtoms int, ws *Workspa
 	// α⁰ = Dᵀa; α starts equal to α⁰ because r₀ = a.
 	d.MulVecT(a, ws.alpha0)
 	copy(ws.alpha, ws.alpha0)
-	res.Idx = make([]int, 0, maxAtoms)
 
 	res.Resid2 = norm2a
-	for len(res.Idx) < maxAtoms && res.Resid2 > target2 {
+	for len(ws.idx) < maxAtoms && res.Resid2 > target2 {
 		// Select the atom with the largest |Dᵀr| among unselected ones.
 		best, bestAbs := -1, 0.0
 		for j := 0; j < l; j++ {
@@ -180,17 +182,17 @@ func (bc *BatchCoder) Encode(a []float64, tol float64, maxAtoms int, ws *Workspa
 
 		// Grow the Cholesky factor of G_φφ using only Gram entries.
 		gRow := bc.gramRow(best)
-		k := len(res.Idx)
+		k := len(ws.idx)
 		cross := ws.cross[:k]
-		for i, jj := range res.Idx {
+		for i, jj := range ws.idx {
 			cross[i] = gRow[jj]
 		}
 		if err := ws.chol.Append(cross, gRow[best]); err != nil {
 			break
 		}
 		ws.selected[best] = true
-		res.Idx = res.Idx[:k+1]
-		res.Idx[k] = best
+		ws.idx = ws.idx[:k+1]
+		ws.idx[k] = best
 		ws.rows = ws.rows[:k+1]
 		ws.rows[k] = gRow
 		ws.gammaRHS = ws.gammaRHS[:k+1]
@@ -206,7 +208,7 @@ func (bc *BatchCoder) Encode(a []float64, tol float64, maxAtoms int, ws *Workspa
 		// axpy is element-wise, and -= gi*gj[t] ≡ += (-gi)*gj[t] in IEEE
 		// arithmetic, so this matches the scalar loop bit for bit.
 		copy(ws.alpha, ws.alpha0)
-		for i := range res.Idx {
+		for i := range ws.idx {
 			gi := ws.gamma[i]
 			if gi == 0 {
 				continue
@@ -220,8 +222,13 @@ func (bc *BatchCoder) Encode(a []float64, tol float64, maxAtoms int, ws *Workspa
 			res.Resid2 = 0 // rounding can push it slightly negative
 		}
 	}
-	res.Coef = mat.CopyVec(ws.gamma[:len(res.Idx)])
-	res.Iters = len(res.Idx)
+	// Copy the code out at its exact length: the workspace sizes its
+	// buffers for min(M, L) atoms, and a typical code uses a handful.
+	k := len(ws.idx)
+	res.Idx = make([]int, k)
+	copy(res.Idx, ws.idx)
+	res.Coef = mat.CopyVec(ws.gamma[:k])
+	res.Iters = k
 	return res
 }
 
@@ -277,27 +284,52 @@ func (bc *BatchCoder) giveBack(ws []*Workspace) {
 // Columns are coded independently, so the result does not depend on the
 // worker count.
 func (bc *BatchCoder) EncodeColumns(a *mat.Dense, tol float64, maxAtoms, workers int) (*sparse.CSC, int) {
-	n := a.Cols
-	idx := make([][]int, n)
-	val := make([][]float64, n)
-	iters := make([]int, n)
-	if workers < 1 {
-		workers = 1
+	all := make([]int, a.Cols)
+	for j := range all {
+		all[j] = j
 	}
+	codes := make([]Result, a.Cols)
+	bc.EncodeColumnsAt(a, all, tol, maxAtoms, workers, codes)
+	return Assemble(bc.D.Cols, codes)
+}
 
-	mat.ParallelChunks(n, workers, func(_, lo, hi int) {
-		ws := &Workspace{}
+// EncodeColumnsAt codes the columns of a (M×N) listed in cols, reading each
+// in place — no column subset of A is copied — in parallel across `workers`
+// chunks of the shared mat worker pool. Column j's code lands in codes[j],
+// so codes spans all N columns and the slots of unlisted columns are left
+// as they are: a caller can code A in installments and Assemble the whole.
+// Columns are coded independently, so a code depends neither on the worker
+// count nor on which other columns are listed.
+func (bc *BatchCoder) EncodeColumnsAt(a *mat.Dense, cols []int, tol float64, maxAtoms, workers int, codes []Result) {
+	if len(codes) != a.Cols {
+		panic("omp: codes length does not match the data columns")
+	}
+	workers = max(1, min(workers, len(cols)))
+	ws := bc.borrow(workers)
+	mat.ParallelChunks(len(cols), workers, func(c, lo, hi int) {
 		col := make([]float64, a.Rows)
-		for j := lo; j < hi; j++ {
+		for _, j := range cols[lo:hi] {
 			a.Col(j, col)
-			r := bc.Encode(col, tol, maxAtoms, ws)
-			idx[j], val[j], iters[j] = r.Idx, r.Coef, r.Iters
+			codes[j] = bc.Encode(col, tol, maxAtoms, ws[c])
 		}
 	})
+	bc.giveBack(ws)
+}
 
-	total := 0
-	for _, it := range iters {
-		total += it
+// Assemble gathers per-column codes (codes[j] is column j's) into the L×N
+// coefficient matrix C and returns it with the total number of OMP
+// iterations the codes took.
+func Assemble(l int, codes []Result) (*sparse.CSC, int) {
+	nnz := 0
+	for _, r := range codes {
+		nnz += len(r.Idx)
 	}
-	return sparse.FromColumns(bc.D.Cols, idx, val), total
+	b := sparse.NewBuilder(l)
+	b.Reserve(len(codes), nnz)
+	total := 0
+	for _, r := range codes {
+		b.AppendColumn(r.Idx, r.Coef)
+		total += r.Iters
+	}
+	return b.Build(), total
 }

@@ -3,6 +3,7 @@ package omp
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -358,6 +359,57 @@ func TestEncodeColumnsMatchesPerColumn(t *testing.T) {
 	}
 	if iters != totalIters {
 		t.Fatalf("iteration count %d, want %d", iters, totalIters)
+	}
+}
+
+func TestEncodeColumnsAtInstallments(t *testing.T) {
+	// Coding A in two listed installments, in scrambled order, fills the
+	// same slots EncodeColumns would, and leaves unlisted slots alone.
+	r := rng.New(12)
+	d := unitDictionary(r, 20, 50)
+	a := mat.NewDense(20, 33)
+	for i := range a.Data {
+		a.Data[i] = r.NormFloat64()
+	}
+	bc := NewBatchCoder(d)
+	perm := r.Perm(a.Cols)
+	codes := make([]Result, a.Cols)
+	bc.EncodeColumnsAt(a, perm[:10], 0.1, 0, 3, codes)
+	for _, j := range perm[10:] {
+		if codes[j].Idx != nil || codes[j].Iters != 0 {
+			t.Fatalf("unlisted column %d was coded", j)
+		}
+	}
+	bc.EncodeColumnsAt(a, perm[10:], 0.1, 0, 2, codes)
+	got, gotIters := Assemble(d.Cols, codes)
+	want, wantIters := bc.EncodeColumns(a, 0.1, 0, 1)
+	if gotIters != wantIters || !slices.Equal(got.ColPtr, want.ColPtr) || !slices.Equal(got.RowIdx, want.RowIdx) {
+		t.Fatalf("installments gave %d iterations, EncodeColumns %d, or a different structure", gotIters, wantIters)
+	}
+	for k, v := range got.Val {
+		if math.Float64bits(v) != math.Float64bits(want.Val[k]) {
+			t.Fatalf("value %d: installments %v, EncodeColumns %v", k, v, want.Val[k])
+		}
+	}
+}
+
+func TestEncodeReturnsExactLengthCodes(t *testing.T) {
+	// Codes hold their atoms at exact length, not the workspace's
+	// min(M, L) capacity; a code with no atoms is still non-nil.
+	r := rng.New(13)
+	d := unitDictionary(r, 48, 96)
+	bc := NewBatchCoder(d)
+	ws := &Workspace{}
+	sig := make([]float64, d.Rows)
+	for i := range sig {
+		sig[i] = r.NormFloat64()
+	}
+	res := bc.Encode(sig, 0.5, 0, ws)
+	if len(res.Idx) == 0 || cap(res.Idx) != len(res.Idx) || cap(res.Coef) != len(res.Coef) {
+		t.Fatalf("code of %d atoms has capacities %d and %d", len(res.Idx), cap(res.Idx), cap(res.Coef))
+	}
+	if empty := bc.Encode(sig, 1, 0, ws); empty.Idx == nil || len(empty.Idx) != 0 {
+		t.Fatalf("an empty code should be non-nil and empty, got %#v", empty.Idx)
 	}
 }
 

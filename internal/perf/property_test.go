@@ -102,3 +102,26 @@ func TestSGDWordsIndependentOfM(t *testing.T) {
 		t.Fatal("SGD words must depend only on the batch size")
 	}
 }
+
+func TestCostMonotoneForPruning(t *testing.T) {
+	// The tuner's scan stops at the first L whose nnz = 0 bound meets the
+	// best estimate so far. That is exact only if every objective's cost is
+	// non-decreasing in nnz and strictly increasing in L, on every
+	// platform; step L by one so the L = M case switch is crossed too.
+	for _, plat := range cluster.PaperPlatforms() {
+		for _, obj := range []Objective{Runtime, Energy, Memory} {
+			f := func(seed uint16) bool {
+				r := rng.New(uint64(seed) + 5)
+				m, n, l, nnz, _ := randomShape(r)
+				l = max(1, l-m+r.Intn(2*m)) // straddle L = M as often as not
+				base := PredictTransformed(m, n, l, nnz, plat).Cost(obj)
+				denser := PredictTransformed(m, n, l, nnz+1+r.Intn(n), plat).Cost(obj)
+				wider := PredictTransformed(m, n, l+1, nnz, plat).Cost(obj)
+				return denser >= base && wider > base
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+				t.Fatalf("%s on %s: %v", obj, plat.Topology, err)
+			}
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package sparse
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Builder assembles a CSC matrix column by column. ExD's sparse coding emits
 // one coefficient column per data column; the builder collects them in order
@@ -15,6 +18,14 @@ type Builder struct {
 // NewBuilder returns a builder for matrices with the given number of rows.
 func NewBuilder(rows int) *Builder {
 	return &Builder{rows: rows, colPtr: []int{0}}
+}
+
+// Reserve makes room for cols more columns holding nnz more entries, so
+// appending them never regrows the arrays.
+func (b *Builder) Reserve(cols, nnz int) {
+	b.colPtr = slices.Grow(b.colPtr, cols)
+	b.rowIdx = slices.Grow(b.rowIdx, nnz)
+	b.val = slices.Grow(b.val, nnz)
 }
 
 // AppendColumn adds the next column with the given (index, value) pairs.
@@ -67,18 +78,4 @@ func (s colSegment) Less(i, j int) bool { return s.idx[i] < s.idx[j] }
 func (s colSegment) Swap(i, j int) {
 	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
 	s.val[i], s.val[j] = s.val[j], s.val[i]
-}
-
-// FromColumns builds a CSC matrix from parallel per-column index/value
-// slices, e.g. the output of a parallel sparse-coding pass where worker w
-// produced columns [lo_w, hi_w).
-func FromColumns(rows int, idx [][]int, val [][]float64) *CSC {
-	if len(idx) != len(val) {
-		panic("sparse: FromColumns length mismatch")
-	}
-	b := NewBuilder(rows)
-	for j := range idx {
-		b.AppendColumn(idx[j], val[j])
-	}
-	return b.Build()
 }

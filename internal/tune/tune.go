@@ -5,18 +5,40 @@
 // Evaluating it on the full data would cost a full ExD fit per candidate L
 // (the Brute Force the paper rules out), so the tuner exploits the paper's
 // subset result: for union-of-subspaces data, E[α(L, A_s, ε)] = E[α(L, A, ε)]
-// for a uniform random subset A_s. It therefore measures α on growing
-// subsets A₁ ⊂ A₂ ⊂ … until the estimates stabilize, then plugs α̂(L)·N
-// into the Eq. 2/3/4 predictions and returns the argmin over the L grid.
+// for a uniform random subset A_s. It draws one column permutation of A,
+// whose prefixes A₁ ⊂ A₂ ⊂ … (each twice the last) are nested uniform
+// subsets, and probes each candidate L with the very dictionary exd.Fit
+// draws for (L, Seed) over the full A: it codes the prefixes in turn, each
+// column once, until that candidate's α̂ stabilizes, then plugs α̂(L)·N into
+// the Eq. 2/3/4 predictions. The pick is the argmin over the L grid.
+//
+// A dictionary drawn from all of A holds any given prefix column with the
+// same probability L/N as any other column, so α̂ is unbiased at every L.
+// A dictionary sampled from the subset would not be: as L → |A_s| it would
+// swallow the subset and α̂ would collapse to 1, which is why no candidate
+// needs a reliability guard against the subset size. Probing exd.Fit's own
+// draw, rather than nested dictionaries (the first L columns of the
+// permutation, one Gram for every L), keeps the validated codes reusable:
+// TuneAndFit rebuilds only the pick's coder, codes the columns its prefix
+// never saw, and returns exactly exd.Fit(A, L, Seed).
+//
+// Candidates are visited in increasing L. The model's cost is
+// non-decreasing in nnz and increasing in L, so the scan stops at the first
+// L whose nnz = 0 bound already meets the best feasible estimate: the pick
+// is the one an exhaustive scan would make, and the large Grams at the top
+// of the grid are never built.
 package tune
 
 import (
 	"fmt"
 	"math"
+	"slices"
+	"time"
 
 	"extdict/internal/cluster"
 	"extdict/internal/exd"
 	"extdict/internal/mat"
+	"extdict/internal/omp"
 	"extdict/internal/perf"
 	"extdict/internal/rng"
 )
@@ -28,21 +50,23 @@ type Config struct {
 	Epsilon float64
 	// Objective selects which cost to minimize (default Runtime).
 	Objective perf.Objective
-	// LGrid lists candidate dictionary sizes. Empty = an automatic
-	// geometric grid between max(8, M/4) and N.
+	// LGrid lists candidate dictionary sizes, each in [1, N]. Empty = an
+	// automatic geometric grid anchored at the measured L_min.
 	LGrid []int
-	// InitialSubset is the number of columns in the first probe subset
+	// InitialSubset is the number of columns in the first probe prefix
 	// (default max(64, N/32), clamped to N).
 	InitialSubset int
-	// StabilityTol stops subset growth once every candidate's α estimate
-	// moved less than this relative amount between rounds (default 0.15,
-	// mirroring the paper's ~14%-at-1% observation in Fig. 6).
+	// StabilityTol stops a candidate's prefix growth once its α estimate
+	// moved less than this relative amount between consecutive prefixes
+	// (default 0.15, mirroring the paper's ~14%-at-1% observation in
+	// Fig. 6).
 	StabilityTol float64
-	// MaxRounds caps subset doublings (default 4).
+	// MaxRounds caps the number of prefixes a candidate codes (default 4).
 	MaxRounds int
-	// Workers parallelizes the probe fits.
+	// Workers parallelizes the probe coding.
 	Workers int
-	// Seed drives subset sampling and the probe fits.
+	// Seed drives the probe permutation and the dictionaries, which are
+	// exd.Fit's for (L, Seed).
 	Seed uint64
 }
 
@@ -92,18 +116,27 @@ func GeometricGrid(lo, hi, points int) []int {
 	return out
 }
 
-// Candidate is one probed dictionary size.
+// Candidate is one grid dictionary size.
 type Candidate struct {
 	L int
-	// Alpha is the final subset estimate of α(L) (nonzeros per column).
+	// Alpha is the prefix estimate of α(L) (nonzeros per column).
 	Alpha float64
-	// AchievedError is the relative transformation error measured on the
-	// probe subset.
+	// AchievedError is the relative transformation error on the probe
+	// prefix.
 	AchievedError float64
 	// Feasible reports whether the probe met the error tolerance — L
 	// values below L_min fail here (the regime left of the knee in
 	// Fig. 4b).
 	Feasible bool
+	// Rounds is the number of nested prefixes this candidate coded: its
+	// estimates rest on the first Result.SubsetSizes[Rounds-1] columns of
+	// the permutation.
+	Rounds int
+	// Pruned reports that the scan stopped before probing this L, because
+	// even a code with no nonzeros could not beat the best feasible
+	// estimate at a smaller L. A pruned candidate is never feasible, and
+	// its Estimate is that nnz = 0 bound.
+	Pruned bool
 	// Estimate is the platform cost prediction at this L using α̂·N.
 	Estimate perf.Estimate
 }
@@ -111,184 +144,214 @@ type Candidate struct {
 // Result is the tuner's output.
 type Result struct {
 	// Best is the selected candidate (lowest predicted cost among
-	// feasible ones).
+	// feasible ones). After TuneAndFit escalates, it describes the
+	// transform actually returned.
 	Best Candidate
-	// Candidates holds every probed L, in grid order.
+	// Candidates holds every grid L in increasing order, pruned ones
+	// included.
 	Candidates []Candidate
-	// SubsetSizes lists the probe subset sizes used per round.
+	// SubsetSizes lists the nested prefix sizes, one per round, up to the
+	// deepest any candidate coded.
 	SubsetSizes []int
-	// Rounds is the number of subset-growth rounds executed.
+	// Rounds is len(SubsetSizes): the most prefixes any candidate coded.
 	Rounds int
+	// Escalations counts the larger sizes TuneAndFit had to fit because
+	// the pick missed the tolerance on the full data (0 from Tune).
+	Escalations int
+	// TuneWall is the host wall time of the scan over the grid, and
+	// FitWall that of TuneAndFit's full-data transform and its check
+	// (escalations included): Table II's tuning and transformation
+	// columns.
+	TuneWall, FitWall time.Duration
+}
+
+// probe is the coding state scan hands to TuneAndFit for the pick:
+// codes[j] holds column j's code against exd.Fit's dictionary for the
+// pick's L for every j in perm[:seen], and no other slot is set.
+type probe struct {
+	perm  []int
+	seen  int
+	codes []omp.Result
 }
 
 // Tune selects the cost-minimizing dictionary size for data a on the given
 // platform. The data must be column-normalized (as for exd.Fit).
 func Tune(a *mat.Dense, plat cluster.Platform, cfg Config) (Result, error) {
-	var res Result
-	if cfg.Epsilon <= 0 || cfg.Epsilon >= 1 {
-		return res, fmt.Errorf("tune: epsilon %v outside (0, 1)", cfg.Epsilon)
-	}
-	n := a.Cols
-	cfg.fill(n)
-	r := rng.New(cfg.Seed)
-	size := cfg.InitialSubset
-
-	if len(cfg.LGrid) == 0 {
-		// Anchor the automatic grid at the measured L_min so the tuner can
-		// reach near-minimal dictionaries (where RankMap operates) as well
-		// as strongly over-complete ones. L_min is rank-driven, so a probe
-		// subset estimates it well.
-		probe := a.ColSlice(r.Subset(n, size))
-		lMin := EstimateLMin(probe, cfg.Epsilon, cfg.Seed)
-		// Anchor the grid essentially AT L_min: on communication-bound
-		// platforms the optimum sits at the smallest feasible dictionary
-		// (where RankMap operates, and where the paper reports parity with
-		// it). Infeasible picks are caught by the subset feasibility check
-		// and, as a last resort, by TuneAndFit's escalation.
-		lo := lMin + max(1, lMin/32)
-		if lo > n {
-			lo = n
-		}
-		// Cap the grid well below N: beyond ~24·L_min the density curve
-		// has flattened while the M·L cost terms keep growing, so larger
-		// candidates can never win — and probing them would need O(L²)
-		// Gram work.
-		hi := 24 * lMin
-		if hi < 64 {
-			hi = 64
-		}
-		if hi > n {
-			hi = n
-		}
-		if hi < lo {
-			hi = lo
-		}
-		cfg.LGrid = GeometricGrid(lo, hi, 10)
-	}
-
-	var prev []float64
-	var alphas []float64
-	var errsAchieved []float64
-
-	for round := 0; ; round++ {
-		res.Rounds = round + 1
-		res.SubsetSizes = append(res.SubsetSizes, size)
-		sub := a.ColSlice(r.Subset(n, size))
-
-		alphas = make([]float64, len(cfg.LGrid))
-		errsAchieved = make([]float64, len(cfg.LGrid))
-		lastReliable := -1
-		for i, l := range cfg.LGrid {
-			// A subset estimate of α(L) is only trustworthy when the
-			// subset is comfortably larger than L: as L → |A_s| the
-			// dictionary swallows the whole subset and α collapses to 1
-			// regardless of the data geometry. For such candidates reuse
-			// the largest reliable estimate — α is non-increasing in L
-			// (§VII), so this is a conservative (never underestimating)
-			// stand-in for nnz.
-			if 2*l > sub.Cols && lastReliable >= 0 {
-				alphas[i] = alphas[lastReliable]
-				errsAchieved[i] = errsAchieved[lastReliable]
-				continue
-			}
-			li := l
-			if li > sub.Cols {
-				li = sub.Cols
-			}
-			tr, err := exd.Fit(sub, exd.Params{
-				L: li, Epsilon: cfg.Epsilon, Workers: cfg.Workers,
-				Seed: cfg.Seed + uint64(round)*131 + uint64(i),
-			})
-			if err != nil {
-				return res, err
-			}
-			alphas[i] = tr.Alpha()
-			errsAchieved[i] = tr.RelError(sub)
-			if 2*l <= sub.Cols {
-				lastReliable = i
-			}
-		}
-
-		stable := prev != nil
-		if prev != nil {
-			for i := range alphas {
-				if prev[i] == 0 {
-					continue
-				}
-				if math.Abs(alphas[i]-prev[i])/prev[i] > cfg.StabilityTol {
-					stable = false
-					break
-				}
-			}
-		}
-		if stable || size >= n || round+1 >= cfg.MaxRounds {
-			break
-		}
-		prev = alphas
-		size *= 2
-		if size > n {
-			size = n
-		}
-	}
-
-	// Score every candidate with the platform model at full scale.
-	res.Candidates = make([]Candidate, len(cfg.LGrid))
-	bestIdx := -1
-	for i, l := range cfg.LGrid {
-		nnz := int(math.Round(alphas[i] * float64(n)))
-		c := Candidate{
-			L:             l,
-			Alpha:         alphas[i],
-			AchievedError: errsAchieved[i],
-			Feasible:      errsAchieved[i] <= cfg.Epsilon*1.05,
-			Estimate:      perf.PredictTransformed(a.Rows, n, l, nnz, plat),
-		}
-		res.Candidates[i] = c
-		if c.Feasible && (bestIdx < 0 ||
-			c.Estimate.Cost(cfg.Objective) < res.Candidates[bestIdx].Estimate.Cost(cfg.Objective)) {
-			bestIdx = i
-		}
-	}
-	if bestIdx < 0 {
-		return res, fmt.Errorf("tune: no feasible dictionary size in grid %v for eps=%v (L_min exceeds the grid)",
-			cfg.LGrid, cfg.Epsilon)
-	}
-	res.Best = res.Candidates[bestIdx]
-	return res, nil
+	res, _, err := scan(a, plat, cfg, true)
+	return res, err
 }
 
-// TuneAndFit tunes L, then fits the final transform on the full data with
-// the selected size. This is ExtDict's complete preprocessing step; its
-// wall time corresponds to Table II's "tuning + transformation" overhead.
-//
-// Feasibility near the knee is measured on a subset, so the chosen L can
-// occasionally miss the tolerance on the full data; in that case the fit
-// escalates to the next-larger candidate until the criterion holds.
-func TuneAndFit(a *mat.Dense, plat cluster.Platform, cfg Config) (*exd.Transform, Result, error) {
-	res, err := Tune(a, plat, cfg)
-	if err != nil {
-		return nil, res, err
+// scan probes the grid in increasing L and returns the result with the
+// pick's probe. With prune unset it probes every candidate, which only
+// tests use to check that pruning never changes the pick.
+func scan(a *mat.Dense, plat cluster.Platform, cfg Config, prune bool) (Result, *probe, error) {
+	sw := perf.StartWall()
+	var res Result
+	if cfg.Epsilon <= 0 || cfg.Epsilon >= 1 {
+		return res, nil, fmt.Errorf("tune: epsilon %v outside (0, 1)", cfg.Epsilon)
 	}
+	m, n := a.Rows, a.Cols
+	cfg.fill(n)
+	r := rng.New(cfg.Seed)
+	grid := slices.Clone(cfg.LGrid)
+	slices.Sort(grid)
+	grid = slices.Compact(grid)
+	if len(grid) == 0 {
+		grid = autoGrid(a, r, cfg)
+	} else if grid[0] < 1 || grid[len(grid)-1] > n {
+		return res, nil, fmt.Errorf("tune: grid %v outside [1, N=%d]", cfg.LGrid, n)
+	}
+	// The prefixes come from a stream split off the seed's, so they are
+	// independent of the dictionaries exd.Draw takes from the seed itself.
+	perm := r.Split().Perm(n)
+	sizes := []int{cfg.InitialSubset}
+	for len(sizes) < cfg.MaxRounds && sizes[len(sizes)-1] < n {
+		sizes = append(sizes, min(2*sizes[len(sizes)-1], n))
+	}
+
+	res.Candidates = make([]Candidate, len(grid))
+	var best *probe
+	bestIdx, bestCost := -1, 0.0
+	for i, l := range grid {
+		c := &res.Candidates[i]
+		c.L = l
+		// The cost model is non-decreasing in nnz and increasing in L, so
+		// once even nnz = 0 cannot beat the best, no larger L can either.
+		if prune && bestIdx >= 0 && perf.PredictTransformed(m, n, l, 0, plat).Cost(cfg.Objective) >= bestCost {
+			for k := i; k < len(grid); k++ {
+				res.Candidates[k] = Candidate{L: grid[k], Pruned: true,
+					Estimate: perf.PredictTransformed(m, n, grid[k], 0, plat)}
+			}
+			break
+		}
+		pr := probeL(a, l, perm, sizes, cfg, c)
+		c.Estimate = perf.PredictTransformed(m, n, l, int(math.Round(c.Alpha*float64(n))), plat)
+		res.Rounds = max(res.Rounds, c.Rounds)
+		if cost := c.Estimate.Cost(cfg.Objective); c.Feasible && (bestIdx < 0 || cost < bestCost) {
+			best, bestIdx, bestCost = pr, i, cost
+		}
+	}
+	res.SubsetSizes = sizes[:res.Rounds]
+	res.TuneWall = sw.Elapsed()
+	if bestIdx < 0 {
+		return res, nil, fmt.Errorf("tune: no feasible dictionary size in grid %v for eps=%v (L_min exceeds the grid)",
+			grid, cfg.Epsilon)
+	}
+	res.Best = res.Candidates[bestIdx]
+	return res, best, nil
+}
+
+// autoGrid builds the automatic L grid around the L_min measured on a
+// probe subset drawn from r.
+func autoGrid(a *mat.Dense, r *rng.RNG, cfg Config) []int {
+	n := a.Cols
+	// Anchor the automatic grid at the measured L_min so the tuner can
+	// reach near-minimal dictionaries (where RankMap operates) as well as
+	// strongly over-complete ones. L_min is rank-driven, so a probe subset
+	// estimates it well.
+	probe := a.ColSlice(r.Subset(n, cfg.InitialSubset))
+	lMin := EstimateLMin(probe, cfg.Epsilon, cfg.Seed)
+	// Anchor the grid essentially AT L_min: on communication-bound
+	// platforms the optimum sits at the smallest feasible dictionary
+	// (where RankMap operates, and where the paper reports parity with
+	// it). Infeasible picks are caught by the prefix feasibility check
+	// and, as a last resort, by TuneAndFit's escalation.
+	lo := min(lMin+max(1, lMin/32), n)
+	// Cap the grid well below N: beyond ~24·L_min the density curve has
+	// flattened while the M·L cost terms keep growing, so larger
+	// candidates can never win — and probing them would need O(L²) Gram
+	// work.
+	hi := max(min(max(24*lMin, 64), n), lo)
+	return GeometricGrid(lo, hi, 10)
+}
+
+// probeL codes the nested prefixes of perm against exd.Fit's dictionary
+// for (l, Seed), each column once, until the α estimate moves less than
+// StabilityTol between prefixes or the sizes run out. It fills c's
+// estimates and returns the codes.
+func probeL(a *mat.Dense, l int, perm, sizes []int, cfg Config, c *Candidate) *probe {
+	_, d := exd.Draw(a, l, cfg.Seed)
+	bc := omp.NewBatchCoder(d)
+	pr := &probe{perm: perm, codes: make([]omp.Result, a.Cols)}
+	col := make([]float64, a.Rows)
+	nnz := 0
+	var resid2, norm2, prev float64
+	for round, size := range sizes {
+		fresh := perm[pr.seen:size]
+		bc.EncodeColumnsAt(a, fresh, cfg.Epsilon, 0, cfg.Workers, pr.codes)
+		for _, j := range fresh {
+			nnz += len(pr.codes[j].Idx)
+			resid2 += pr.codes[j].Resid2
+			a.Col(j, col)
+			norm2 += mat.Dot(col, col)
+		}
+		pr.seen = size
+		c.Rounds = round + 1
+		c.Alpha = float64(nnz) / float64(size)
+		if round > 0 && (prev == 0 || math.Abs(c.Alpha-prev)/prev <= cfg.StabilityTol) {
+			break
+		}
+		prev = c.Alpha
+	}
+	if norm2 > 0 {
+		c.AchievedError = math.Sqrt(resid2 / norm2)
+	}
+	c.Feasible = c.AchievedError <= cfg.Epsilon*1.05
+	return pr
+}
+
+// finish codes the columns the probe never saw against a rebuilt coder for
+// the same dictionary and assembles the transform exd.Fit(a, p) returns.
+func (pr *probe) finish(a *mat.Dense, p exd.Params) *exd.Transform {
+	idx, d := exd.Draw(a, p.L, p.Seed)
+	omp.NewBatchCoder(d).EncodeColumnsAt(a, pr.perm[pr.seen:], p.Epsilon, 0, p.Workers, pr.codes)
+	c, iters := omp.Assemble(p.L, pr.codes)
+	return &exd.Transform{D: d, C: c, DictIdx: idx, OMPIters: iters, Params: p}
+}
+
+// fitOrder is the order in which TuneAndFit tries dictionary sizes on the
+// full data: the pick, every larger grid L (pruned ones included), then N.
+func fitOrder(res Result, n int) []int {
 	try := []int{res.Best.L}
 	for _, c := range res.Candidates {
 		if c.L > res.Best.L {
 			try = append(try, c.L)
 		}
 	}
-	if try[len(try)-1] < a.Cols {
-		try = append(try, a.Cols)
+	if try[len(try)-1] < n {
+		try = append(try, n)
 	}
-	var last *exd.Transform
-	for _, l := range try {
-		tr, err := exd.Fit(a, exd.Params{
-			L: l, Epsilon: cfg.Epsilon, Workers: cfg.Workers, Seed: cfg.Seed,
-		})
-		if err != nil {
+	return try
+}
+
+// TuneAndFit tunes L, then returns the full-data transform at the selected
+// size: exactly exd.Fit(a, L, Seed), built from the pick's probe codes plus
+// the columns its prefix never saw. This is ExtDict's complete
+// preprocessing step; its wall time corresponds to Table II's "tuning +
+// transformation" overhead.
+//
+// Feasibility near the knee is measured on a prefix, so the chosen L can
+// occasionally miss the tolerance on the full data; in that case the fit
+// escalates to the next-larger candidate until the criterion holds, and
+// Result.Escalations counts the steps.
+func TuneAndFit(a *mat.Dense, plat cluster.Platform, cfg Config) (*exd.Transform, Result, error) {
+	res, pr, err := scan(a, plat, cfg, true)
+	if err != nil {
+		return nil, res, err
+	}
+	sw := perf.StartWall()
+	p := exd.Params{Epsilon: cfg.Epsilon, Workers: cfg.Workers, Seed: cfg.Seed}
+	var tr *exd.Transform
+	for step, l := range fitOrder(res, a.Cols) {
+		p.L = l
+		if step == 0 {
+			tr = pr.finish(a, p)
+		} else if tr, err = exd.Fit(a, p); err != nil {
 			return nil, res, err
 		}
-		last = tr
+		res.Escalations = step
 		if achieved := tr.RelError(a); achieved <= cfg.Epsilon*(1+1e-9) {
-			if l != res.Best.L {
+			if step > 0 {
 				// Record the escalated choice so Result stays consistent
 				// with the transform actually returned.
 				res.Best = Candidate{
@@ -296,8 +359,10 @@ func TuneAndFit(a *mat.Dense, plat cluster.Platform, cfg Config) (*exd.Transform
 					Estimate: perf.PredictTransformed(a.Rows, a.Cols, l, tr.C.NNZ(), plat),
 				}
 			}
+			res.FitWall = sw.Elapsed()
 			return tr, res, nil
 		}
 	}
-	return last, res, fmt.Errorf("tune: no candidate met eps=%v on the full data", cfg.Epsilon)
+	res.FitWall = sw.Elapsed()
+	return tr, res, fmt.Errorf("tune: no candidate met eps=%v on the full data", cfg.Epsilon)
 }

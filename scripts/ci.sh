@@ -136,9 +136,10 @@ echo "== go test -race (all internal packages)"
 go test -race -short -count=1 ./internal/...
 
 echo "== determinism matrix (GOMAXPROCS = 1, 2, NumCPU)"
-# The Par-kernel equivalence tests and the 24-seed chaos replay must hold
-# under serial, dual, and fully parallel scheduling. The chaos digest test
-# compares every run against the same committed golden
+# The Par-kernel equivalence tests, the 24-seed chaos replay and the
+# tuner's handover (TuneAndFit's transform is exd.Fit's, bit for bit) must
+# hold under serial, dual, and fully parallel scheduling. The chaos digest
+# test compares every run against the same committed golden
 # (internal/cluster/chaos/testdata/replay.digest), so the three settings
 # cannot silently diverge from one another or from the recorded baseline.
 ncpu=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)
@@ -146,6 +147,7 @@ for gmp in 1 2 "$ncpu"; do
     echo "-- GOMAXPROCS=$gmp"
     GOMAXPROCS=$gmp go test -count=1 -run 'TestPar' ./internal/mat/
     GOMAXPROCS=$gmp go test -count=1 ./internal/cluster/chaos/
+    GOMAXPROCS=$gmp go test -count=1 -run 'TestTuneAndFitIsExdFit|TestTuneDeterministic' ./internal/tune/
 done
 
 echo "== perfbench (the repository benchmark must build, pass its tests and lint clean)"
