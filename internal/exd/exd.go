@@ -113,35 +113,76 @@ func (t *Transform) Alpha() float64 {
 	return float64(t.C.NNZ()) / float64(t.C.Cols)
 }
 
+// relErrorWords bounds RelError's scratch: a block of the columns it
+// rebuilds fills at most this many float64s per buffer, whatever the
+// worker count.
+const relErrorWords = 1 << 16
+
 // RelError returns the achieved relative transformation error
 // ‖A - D·C‖_F / ‖A‖_F against the given data matrix, computed column by
 // column in O(M·nnz(C)) without forming D·C densely.
+//
+// The two sums are added serially in (column, row) order, term by term as
+// a plain loop over A's columns would: fig4's pinned errors and every ε
+// verdict depend on that order. Only the terms are computed in parallel:
+// block by block, the mat.Workers chunks rebuild the block's columns —
+// reading A row by row, and each column of D·C as Axpys over rows of Dᵀ,
+// which are element-wise and so exact — and the caller then adds the
+// block's terms.
 func (t *Transform) RelError(a *mat.Dense) float64 {
 	if a.Rows != t.D.Rows || a.Cols != t.C.Cols {
 		panic("exd: RelError shape mismatch")
 	}
+	m := a.Rows
+	if m == 0 {
+		return 0
+	}
+	dt := t.D.T()
+	block := max(1, min(a.Cols, relErrorWords/m))
+	// dev[k·M+i] and sq[k·M+i] hold column j0+k's terms (a_ij - (DC)_ij)²
+	// and a_ij² of the current block.
+	dev := make([]float64, block*m)
+	sq := make([]float64, block*m)
 	var num, den float64
-	rec := make([]float64, a.Rows)
-	col := make([]float64, a.Rows)
-	for j := 0; j < a.Cols; j++ {
-		mat.Zero(rec)
-		for ptr := t.C.ColPtr[j]; ptr < t.C.ColPtr[j+1]; ptr++ {
-			atom, v := t.C.RowIdx[ptr], t.C.Val[ptr]
-			for i := 0; i < a.Rows; i++ {
-				rec[i] += v * t.D.At(i, atom)
-			}
-		}
-		a.Col(j, col)
-		for i := range col {
-			dlt := col[i] - rec[i]
-			num += dlt * dlt
-			den += col[i] * col[i]
+	for j0 := 0; j0 < a.Cols; j0 += block {
+		n := min(block, a.Cols-j0)
+		mat.ParallelChunks(n, mat.Workers, func(_, lo, hi int) {
+			t.errorTerms(a, dt, j0+lo, j0+hi, dev[lo*m:hi*m], sq[lo*m:hi*m])
+		})
+		for k := 0; k < n*m; k++ {
+			num += dev[k]
+			den += sq[k]
 		}
 	}
 	if den == 0 {
 		return 0
 	}
 	return math.Sqrt(num / den)
+}
+
+// errorTerms writes the error terms of columns [lo, hi) of A into dev and
+// sq, column k-lo at offset (k-lo)·M: sq holds a_ij², dev (a_ij - (DC)_ij)²
+// with (DC)_:j summed in C's storage order. dt is Dᵀ.
+func (t *Transform) errorTerms(a, dt *mat.Dense, lo, hi int, dev, sq []float64) {
+	m := a.Rows
+	for i := 0; i < m; i++ {
+		row := a.Row(i)[lo:hi]
+		for k, v := range row {
+			sq[k*m+i] = v
+		}
+	}
+	for j := lo; j < hi; j++ {
+		col, rec := sq[(j-lo)*m:(j-lo+1)*m], dev[(j-lo)*m:(j-lo+1)*m]
+		mat.Zero(rec)
+		for ptr := t.C.ColPtr[j]; ptr < t.C.ColPtr[j+1]; ptr++ {
+			mat.Axpy(t.C.Val[ptr], dt.Row(t.C.RowIdx[ptr]), rec)
+		}
+		for i, v := range col {
+			d := v - rec[i]
+			rec[i] = d * d
+			col[i] = v * v
+		}
+	}
 }
 
 // Reconstruct materializes D·C as a dense matrix (test/inspection helper;

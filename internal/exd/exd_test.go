@@ -179,6 +179,58 @@ func TestReconstructMatchesRelError(t *testing.T) {
 	}
 }
 
+// serialRelError is RelError as a plain loop over A's columns: rebuild
+// column j of D·C entry by entry, then add its terms to the two sums in row
+// order. RelError's parallel rebuild must reproduce it bit for bit.
+func serialRelError(tr *Transform, a *mat.Dense) float64 {
+	var num, den float64
+	rec := make([]float64, a.Rows)
+	col := make([]float64, a.Rows)
+	for j := 0; j < a.Cols; j++ {
+		mat.Zero(rec)
+		for ptr := tr.C.ColPtr[j]; ptr < tr.C.ColPtr[j+1]; ptr++ {
+			atom, v := tr.C.RowIdx[ptr], tr.C.Val[ptr]
+			for i := 0; i < a.Rows; i++ {
+				rec[i] += v * tr.D.At(i, atom)
+			}
+		}
+		a.Col(j, col)
+		for i := range col {
+			dlt := col[i] - rec[i]
+			num += dlt * dlt
+			den += col[i] * col[i]
+		}
+	}
+	if den == 0 {
+		return 0
+	}
+	return math.Sqrt(num / den)
+}
+
+func TestRelErrorMatchesSerialLoop(t *testing.T) {
+	// RelError rebuilds blocks of columns in parallel and adds their terms
+	// serially; at any worker count it must equal the plain loop bit for
+	// bit, since fig4's pinned errors and the ε verdicts rest on it. The
+	// shape spans several blocks with a short last one (M mod 4 = 2, so
+	// the Axpys run their scalar tail too).
+	u := testUnion(t, 130, 1200, []int{6, 9}, 12)
+	tr, err := Fit(u.A, Params{L: 90, Epsilon: 0.1, Seed: 27})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if block := relErrorWords / u.A.Rows; u.A.Cols <= 2*block || u.A.Cols%block == 0 {
+		t.Fatalf("%d columns in blocks of %d: want several blocks and a short last one", u.A.Cols, block)
+	}
+	want := serialRelError(tr, u.A)
+	defer func(w int) { mat.Workers = w }(mat.Workers)
+	for _, w := range []int{1, 2, 3} {
+		mat.Workers = w
+		if got := tr.RelError(u.A); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Workers=%d: RelError %v, serial loop %v", w, got, want)
+		}
+	}
+}
+
 func TestMemoryWords(t *testing.T) {
 	u := testUnion(t, 10, 30, []int{2}, 11)
 	tr, _ := Fit(u.A, Params{L: 12, Epsilon: 0.1, Seed: 25})

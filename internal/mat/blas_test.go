@@ -88,6 +88,33 @@ func TestMulAssociativity(t *testing.T) {
 	}
 }
 
+func TestMulToRowsMatchMulVecT(t *testing.T) {
+	// Row i of MulTo(P, D) is D.MulVecT(P.Row(i)) bit for bit: both add
+	// four-row groups of D through the axpy4K expression, then the
+	// remainder rows one at a time, so the panel coder's α⁰ is Encode's.
+	// The shapes cover M mod 4 ∈ {0, 1, 2, 3}, odd and even L and panel
+	// heights (the paired-row kernel and its odd last row), and widths
+	// across the mulToTileJ column tiles.
+	r := rng.New(14)
+	for _, m := range []int{8, 9, 10, 11, 128} {
+		for _, l := range []int{1, 6, 47, mulToTileJ, mulToTileJ + 3, 2*mulToTileJ + 2} {
+			for _, rows := range []int{1, 2, 3, 5} {
+				p, d := randomDense(r, rows, m), randomDense(r, m, l)
+				dst := randomDense(r, rows, l) // MulTo must overwrite, not accumulate
+				MulTo(dst, p, d)
+				for i := 0; i < rows; i++ {
+					want := d.MulVecT(p.Row(i), nil)
+					for j, v := range dst.Row(i) {
+						if math.Float64bits(v) != math.Float64bits(want[j]) {
+							t.Fatalf("M=%d L=%d rows=%d: (%d,%d) = %v, MulVecT %v", m, l, rows, i, j, v, want[j])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestATAMatchesMul(t *testing.T) {
 	r := rng.New(7)
 	a := randomDense(r, 13, 7)

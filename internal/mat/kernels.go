@@ -150,27 +150,60 @@ func axpy4K(a0, a1, a2, a3 float64, r0, r1, r2, r3, y []float64) {
 	}
 }
 
+// axpy4x2K computes y += a0*r0 + a1*r1 + a2*r2 + a3*r3 and
+// z += b0*r0 + b1*r1 + b2*r2 + b3*r3 in one pass: two axpy4K updates
+// sharing every load of the four row streams. Each entry of y and z is
+// summed exactly as axpy4K sums it. Iterates len(y); z and the rows must be
+// >= len(y).
+func axpy4x2K(a0, a1, a2, a3, b0, b1, b2, b3 float64, r0, r1, r2, r3, y, z []float64) {
+	n := len(y)
+	z, r0, r1, r2, r3 = z[:n], r0[:n], r1[:n], r2[:n], r3[:n]
+	for i := range y {
+		v0, v1, v2, v3 := r0[i], r1[i], r2[i], r3[i]
+		y[i] += (a0*v0 + a1*v1) + (a2*v2 + a3*v3)
+		z[i] += (b0*v0 + b1*v1) + (b2*v2 + b3*v3)
+	}
+}
+
 // mulToTileJ is the dst/B column-tile width for MulTo: 512 float64 = 4 KiB
-// per row stream, so the five streams of a 4-row-fused update panel stay
-// L1-resident.
+// per row stream, so the six streams of a 2-row, 4-row-fused update panel
+// stay L1-resident.
 const mulToTileJ = 512
 
 // mulToPanel accumulates dst[:, jLo:jHi] += A·B[:, jLo:jHi] with 4-way
-// k-unrolling: each dst row is updated by four B rows per pass (axpy4K), so
-// the inner loop runs five concurrent streams. dst must be pre-zeroed (or
-// hold the partial sum being extended).
+// k-unrolling over pairs of dst rows: each pass updates two dst rows by
+// four B rows (axpy4x2K), so every B load serves both rows. Each dst entry
+// gets its four-row groups, then the remainder rows, in the order
+// MulVecT's mulVecTRows adds them, so row i of A·B equals
+// B.MulVecT(A.Row(i)) bit for bit. dst must be pre-zeroed (or hold the
+// partial sum being extended).
 func mulToPanel(dst, a, b *Dense, jLo, jHi int) {
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)[jLo:jHi]
+	i := 0
+	for ; i+2 <= a.Rows; i += 2 {
+		x, w := a.Row(i), a.Row(i+1)
+		y, z := dst.Row(i)[jLo:jHi], dst.Row(i + 1)[jLo:jHi]
 		k := 0
 		for ; k+4 <= a.Cols; k += 4 {
-			axpy4K(arow[k], arow[k+1], arow[k+2], arow[k+3],
+			axpy4x2K(x[k], x[k+1], x[k+2], x[k+3], w[k], w[k+1], w[k+2], w[k+3],
 				b.Row(k)[jLo:jHi], b.Row(k + 1)[jLo:jHi],
-				b.Row(k + 2)[jLo:jHi], b.Row(k + 3)[jLo:jHi], drow)
+				b.Row(k + 2)[jLo:jHi], b.Row(k + 3)[jLo:jHi], y, z)
 		}
 		for ; k < a.Cols; k++ {
-			axpyK(arow[k], b.Row(k)[jLo:jHi], drow)
+			r := b.Row(k)[jLo:jHi]
+			axpyK(x[k], r, y)
+			axpyK(w[k], r, z)
+		}
+	}
+	if i < a.Rows {
+		x, y := a.Row(i), dst.Row(i)[jLo:jHi]
+		k := 0
+		for ; k+4 <= a.Cols; k += 4 {
+			axpy4K(x[k], x[k+1], x[k+2], x[k+3],
+				b.Row(k)[jLo:jHi], b.Row(k + 1)[jLo:jHi],
+				b.Row(k + 2)[jLo:jHi], b.Row(k + 3)[jLo:jHi], y)
+		}
+		for ; k < a.Cols; k++ {
+			axpyK(x[k], b.Row(k)[jLo:jHi], y)
 		}
 	}
 }

@@ -94,6 +94,10 @@ type Workspace struct {
 	selected []bool
 	rows     [][]float64 // Gram rows of the selected atoms, selection order
 	chol     *mat.Cholesky
+
+	// The panel EncodeColumnsAt codes: up to panelWidth gathered signals,
+	// one per row, and their correlations α⁰ = Dᵀa, one per row.
+	sig, sigAlpha0 mat.Dense
 }
 
 func (w *Workspace) reset(l, maxAtoms int) {
@@ -127,28 +131,42 @@ func (w *Workspace) reset(l, maxAtoms int) {
 	w.chol.Reset()
 }
 
+// atomCap resolves a support cap: 0, or one above min(M, L), means
+// min(M, L).
+func (bc *BatchCoder) atomCap(maxAtoms int) int {
+	if k := min(bc.D.Rows, bc.D.Cols); maxAtoms <= 0 || maxAtoms > k {
+		return k
+	}
+	return maxAtoms
+}
+
 // Encode codes signal a with relative tolerance tol and support cap
 // maxAtoms (0 = min(M, L)). ws may be nil, in which case a temporary
 // workspace is used.
 func (bc *BatchCoder) Encode(a []float64, tol float64, maxAtoms int, ws *Workspace) Result {
-	d := bc.D
-	if len(a) != d.Rows {
+	if len(a) != bc.D.Rows {
 		panic("omp: signal length does not match dictionary rows")
 	}
-	m, l := d.Rows, d.Cols
-	if maxAtoms <= 0 || maxAtoms > min(m, l) {
-		maxAtoms = min(m, l)
-	}
+	maxAtoms = bc.atomCap(maxAtoms)
 	if ws == nil {
 		ws = &Workspace{}
 	}
-	ws.reset(l, maxAtoms)
+	ws.reset(bc.D.Cols, maxAtoms)
+	bc.D.MulVecT(a, ws.alpha0)
+	return bc.code(ws.alpha0, mat.Dot(a, a), tol, maxAtoms, ws)
+}
 
-	norm2a := mat.Dot(a, a)
-	res := Result{}
+// code runs the greedy selection for one signal a, given its squared norm
+// norm2a = ‖a‖² and its correlations alpha0 = Dᵀa (read only); a zero
+// signal gets an empty code. ws must be reset for (L, maxAtoms). It is the
+// one coding loop: Encode and the panel path of EncodeColumnsAt differ only
+// in how they obtain alpha0.
+func (bc *BatchCoder) code(alpha0 []float64, norm2a, tol float64, maxAtoms int, ws *Workspace) Result {
 	if norm2a == 0 {
-		return res
+		return Result{}
 	}
+	m, l := bc.D.Rows, bc.D.Cols
+	res := Result{Norm2: norm2a}
 	target2 := tol * tol * norm2a
 	// The ‖r‖² recurrence subtracts sums that the unrolled kernels
 	// accumulate in different orders (norm2a, α⁰, and the Gram diagonal
@@ -160,9 +178,8 @@ func (bc *BatchCoder) Encode(a []float64, tol float64, maxAtoms int, ws *Workspa
 		target2 = floor
 	}
 
-	// α⁰ = Dᵀa; α starts equal to α⁰ because r₀ = a.
-	d.MulVecT(a, ws.alpha0)
-	copy(ws.alpha, ws.alpha0)
+	// α starts equal to α⁰ because r₀ = a.
+	copy(ws.alpha, alpha0)
 
 	res.Resid2 = norm2a
 	for len(ws.idx) < maxAtoms && res.Resid2 > target2 {
@@ -196,7 +213,7 @@ func (bc *BatchCoder) Encode(a []float64, tol float64, maxAtoms int, ws *Workspa
 		ws.rows = ws.rows[:k+1]
 		ws.rows[k] = gRow
 		ws.gammaRHS = ws.gammaRHS[:k+1]
-		ws.gammaRHS[k] = ws.alpha0[best]
+		ws.gammaRHS[k] = alpha0[best]
 
 		// γ = (G_φφ)⁻¹ (α⁰)_φ.
 		ws.gamma = ws.gamma[:k+1]
@@ -207,7 +224,7 @@ func (bc *BatchCoder) Encode(a []float64, tol float64, maxAtoms int, ws *Workspa
 		// G is symmetric so the cached rows serve as columns). The unrolled
 		// axpy is element-wise, and -= gi*gj[t] ≡ += (-gi)*gj[t] in IEEE
 		// arithmetic, so this matches the scalar loop bit for bit.
-		copy(ws.alpha, ws.alpha0)
+		copy(ws.alpha, alpha0)
 		for i := range ws.idx {
 			gi := ws.gamma[i]
 			if gi == 0 {
@@ -293,27 +310,83 @@ func (bc *BatchCoder) EncodeColumns(a *mat.Dense, tol float64, maxAtoms, workers
 	return Assemble(bc.D.Cols, codes)
 }
 
-// EncodeColumnsAt codes the columns of a (M×N) listed in cols, reading each
-// in place — no column subset of A is copied — in parallel across `workers`
-// chunks of the shared mat worker pool. Column j's code lands in codes[j],
-// so codes spans all N columns and the slots of unlisted columns are left
-// as they are: a caller can code A in installments and Assemble the whole.
-// Columns are coded independently, so a code depends neither on the worker
-// count nor on which other columns are listed.
+// panelWidth is the number of columns EncodeColumnsAt gathers into one
+// panel. A is row-major, so a lone column is M reads one row stride apart,
+// each on a cache line of its own; a panel of neighbouring columns reads
+// every line once for all of them. At M = 128 a panel is 32 KiB, about an
+// L1's worth, while MulTo forms its correlations in one pass over D.
+const panelWidth = 32
+
+// EncodeColumnsAt codes the columns of a (M×N) listed in cols in parallel
+// across `workers` chunks of the shared mat worker pool. Column j's code
+// lands in codes[j], so codes spans all N columns and the slots of unlisted
+// columns are left as they are: a caller can code A in installments and
+// Assemble the whole.
+//
+// A is row-major, so the listed columns are coded in ascending index order,
+// in panels of up to panelWidth: a panel is copied out of A with
+// row-contiguous reads, and its correlations α⁰ = Dᵀa come from one
+// mat.MulTo, whose rows equal Dense.MulVecT's bit for bit. Columns are
+// coded independently, so a code is Encode's for that column, whatever the
+// worker count, the listing order, or the other listed columns.
 func (bc *BatchCoder) EncodeColumnsAt(a *mat.Dense, cols []int, tol float64, maxAtoms, workers int, codes []Result) {
 	if len(codes) != a.Cols {
 		panic("omp: codes length does not match the data columns")
 	}
-	workers = max(1, min(workers, len(cols)))
+	if a.Rows != bc.D.Rows {
+		panic("omp: signal length does not match dictionary rows")
+	}
+	listed := make([]bool, a.Cols)
+	for _, j := range cols {
+		listed[j] = true
+	}
+	order := make([]int, 0, len(cols))
+	for j, ok := range listed {
+		if ok {
+			order = append(order, j)
+		}
+	}
+	maxAtoms = bc.atomCap(maxAtoms)
+	workers = max(1, min(workers, len(order)))
 	ws := bc.borrow(workers)
-	mat.ParallelChunks(len(cols), workers, func(c, lo, hi int) {
-		col := make([]float64, a.Rows)
-		for _, j := range cols[lo:hi] {
-			a.Col(j, col)
-			codes[j] = bc.Encode(col, tol, maxAtoms, ws[c])
+	mat.ParallelChunks(len(order), workers, func(c, lo, hi int) {
+		for p := lo; p < hi; p += panelWidth {
+			bc.codePanel(a, order[p:min(p+panelWidth, hi)], tol, maxAtoms, ws[c], codes)
 		}
 	})
 	bc.giveBack(ws)
+}
+
+// codePanel codes the listed columns of a (at most panelWidth, ascending)
+// into codes: it gathers them row by row into ws.sig, one signal per row,
+// forms every α⁰ in one MulTo, and runs the greedy loop per signal.
+func (bc *BatchCoder) codePanel(a *mat.Dense, cols []int, tol float64, maxAtoms int, ws *Workspace, codes []Result) {
+	m, l, n := bc.D.Rows, bc.D.Cols, len(cols)
+	sig, alpha0 := ws.panel(n, m, l)
+	for i := 0; i < m; i++ {
+		row := a.Row(i)
+		for k, j := range cols {
+			sig.Data[k*m+i] = row[j]
+		}
+	}
+	mat.MulTo(alpha0, sig, bc.D)
+	for k, j := range cols {
+		s := sig.Row(k)
+		ws.reset(l, maxAtoms)
+		codes[j] = bc.code(alpha0.Row(k), mat.Dot(s, s), tol, maxAtoms, ws)
+	}
+}
+
+// panel returns ws's n×m signal panel and n×l correlation panel, growing
+// their storage to panelWidth rows on first use.
+func (w *Workspace) panel(n, m, l int) (sig, alpha0 *mat.Dense) {
+	if cap(w.sig.Data) < panelWidth*m || cap(w.sigAlpha0.Data) < panelWidth*l {
+		w.sig.Data = make([]float64, panelWidth*m)
+		w.sigAlpha0.Data = make([]float64, panelWidth*l)
+	}
+	w.sig = mat.Dense{Rows: n, Cols: m, Stride: m, Data: w.sig.Data[:n*m]}
+	w.sigAlpha0 = mat.Dense{Rows: n, Cols: l, Stride: l, Data: w.sigAlpha0.Data[:n*l]}
+	return &w.sig, &w.sigAlpha0
 }
 
 // Assemble gathers per-column codes (codes[j] is column j's) into the L×N

@@ -36,6 +36,9 @@ type Result struct {
 	Resid2 float64
 	// Iters is the number of atoms selected (== len(Idx)).
 	Iters int
+	// Norm2 is the squared norm ‖a‖² of the coded signal, as the coder
+	// computed it.
+	Norm2 float64
 }
 
 // Encode runs reference OMP: it maintains an explicit residual vector and a
@@ -53,7 +56,7 @@ func Encode(d *mat.Dense, a []float64, tol float64, maxAtoms int) Result {
 		maxAtoms = min(m, l)
 	}
 	norm2a := mat.Dot(a, a)
-	res := Result{}
+	res := Result{Norm2: norm2a}
 	if norm2a == 0 {
 		return res
 	}

@@ -1,6 +1,7 @@
 package omp
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -327,32 +328,82 @@ func TestEncodePanelConcurrentCallers(t *testing.T) {
 	wg.Wait()
 }
 
+// codeDiff reports how got differs from want bit for bit — Idx, Coef,
+// Resid2, Iters and Norm2 — or "" when they are the same code.
+func codeDiff(got, want Result) string {
+	switch {
+	case !slices.Equal(got.Idx, want.Idx):
+		return fmt.Sprintf("support %v, want %v", got.Idx, want.Idx)
+	case !slices.EqualFunc(got.Coef, want.Coef, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }):
+		return fmt.Sprintf("coefficients %v, want %v", got.Coef, want.Coef)
+	case math.Float64bits(got.Resid2) != math.Float64bits(want.Resid2):
+		return fmt.Sprintf("Resid2 %v, want %v", got.Resid2, want.Resid2)
+	case got.Iters != want.Iters:
+		return fmt.Sprintf("Iters %d, want %d", got.Iters, want.Iters)
+	case math.Float64bits(got.Norm2) != math.Float64bits(want.Norm2):
+		return fmt.Sprintf("Norm2 %v, want %v", got.Norm2, want.Norm2)
+	}
+	return ""
+}
+
+// perColumn codes every column of a on its own with Encode.
+func perColumn(bc *BatchCoder, a *mat.Dense, tol float64, maxAtoms int) []Result {
+	codes := make([]Result, a.Cols)
+	col := make([]float64, a.Rows)
+	for j := range codes {
+		codes[j] = bc.Encode(a.Col(j, col), tol, maxAtoms, nil)
+	}
+	return codes
+}
+
 func TestEncodeColumnsMatchesPerColumn(t *testing.T) {
+	// EncodeColumnsAt codes its columns in index order, in panels whose α⁰
+	// come from one MulTo, yet every code — Norm2 included — is Encode's
+	// for that column bit for bit, whatever the listing order and worker
+	// count. N is not a multiple of panelWidth, so panels run short, and
+	// one column is zero.
 	r := rng.New(7)
 	d := unitDictionary(r, 20, 50)
-	a := mat.NewDense(20, 33)
+	a := mat.NewDense(20, 2*panelWidth+7)
 	for i := range a.Data {
 		a.Data[i] = r.NormFloat64()
 	}
+	a.SetCol(5, make([]float64, a.Rows))
 	bc := NewBatchCoder(d)
+	want := perColumn(bc, a, 0.1, 0)
+	col := make([]float64, a.Rows)
+	for j, w := range want {
+		a.Col(j, col)
+		if math.Float64bits(w.Norm2) != math.Float64bits(mat.Dot(col, col)) {
+			t.Fatalf("column %d: Norm2 %v, want ‖a‖² = %v", j, w.Norm2, mat.Dot(col, col))
+		}
+	}
+	perm := r.Perm(a.Cols)
+	for _, workers := range []int{1, 2, 3} {
+		got := make([]Result, a.Cols)
+		bc.EncodeColumnsAt(a, perm, 0.1, 0, workers, got)
+		for j := range got {
+			if diff := codeDiff(got[j], want[j]); diff != "" {
+				t.Fatalf("%d workers, column %d: %s", workers, j, diff)
+			}
+		}
+	}
+
 	c, iters := bc.EncodeColumns(a, 0.1, 0, 3)
 	if err := c.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Rows != 50 || c.Cols != 33 {
+	if c.Rows != 50 || c.Cols != a.Cols {
 		t.Fatalf("C shape %dx%d", c.Rows, c.Cols)
 	}
 	totalIters := 0
-	col := make([]float64, 20)
-	for j := 0; j < a.Cols; j++ {
-		a.Col(j, col)
-		res := bc.Encode(col, 0.1, 0, nil)
+	for j, res := range want {
 		totalIters += res.Iters
 		if c.ColNNZ(j) != len(res.Idx) {
 			t.Fatalf("column %d nnz %d, want %d", j, c.ColNNZ(j), len(res.Idx))
 		}
 		for i, atom := range res.Idx {
-			if math.Abs(c.At(atom, j)-res.Coef[i]) > 1e-12 {
+			if math.Float64bits(c.At(atom, j)) != math.Float64bits(res.Coef[i]) {
 				t.Fatalf("column %d coef mismatch", j)
 			}
 		}
@@ -363,32 +414,32 @@ func TestEncodeColumnsMatchesPerColumn(t *testing.T) {
 }
 
 func TestEncodeColumnsAtInstallments(t *testing.T) {
-	// Coding A in two listed installments, in scrambled order, fills the
-	// same slots EncodeColumns would, and leaves unlisted slots alone.
+	// Coding A in two listed installments, in scrambled order and at 1, 2
+	// and 3 workers, fills the same slots per-column Encode would, and
+	// leaves unlisted slots alone.
 	r := rng.New(12)
 	d := unitDictionary(r, 20, 50)
-	a := mat.NewDense(20, 33)
+	a := mat.NewDense(20, 3*panelWidth+5)
 	for i := range a.Data {
 		a.Data[i] = r.NormFloat64()
 	}
 	bc := NewBatchCoder(d)
-	perm := r.Perm(a.Cols)
-	codes := make([]Result, a.Cols)
-	bc.EncodeColumnsAt(a, perm[:10], 0.1, 0, 3, codes)
-	for _, j := range perm[10:] {
-		if codes[j].Idx != nil || codes[j].Iters != 0 {
-			t.Fatalf("unlisted column %d was coded", j)
+	want := perColumn(bc, a, 0.1, 0)
+	for _, workers := range []int{1, 2, 3} {
+		perm := r.Perm(a.Cols)
+		split := panelWidth + 3
+		codes := make([]Result, a.Cols)
+		bc.EncodeColumnsAt(a, perm[:split], 0.1, 0, workers, codes)
+		for _, j := range perm[split:] {
+			if codes[j].Idx != nil || codes[j].Iters != 0 {
+				t.Fatalf("unlisted column %d was coded", j)
+			}
 		}
-	}
-	bc.EncodeColumnsAt(a, perm[10:], 0.1, 0, 2, codes)
-	got, gotIters := Assemble(d.Cols, codes)
-	want, wantIters := bc.EncodeColumns(a, 0.1, 0, 1)
-	if gotIters != wantIters || !slices.Equal(got.ColPtr, want.ColPtr) || !slices.Equal(got.RowIdx, want.RowIdx) {
-		t.Fatalf("installments gave %d iterations, EncodeColumns %d, or a different structure", gotIters, wantIters)
-	}
-	for k, v := range got.Val {
-		if math.Float64bits(v) != math.Float64bits(want.Val[k]) {
-			t.Fatalf("value %d: installments %v, EncodeColumns %v", k, v, want.Val[k])
+		bc.EncodeColumnsAt(a, perm[split:], 0.1, 0, workers, codes)
+		for j := range codes {
+			if diff := codeDiff(codes[j], want[j]); diff != "" {
+				t.Fatalf("%d workers, column %d: %s", workers, j, diff)
+			}
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package sparse
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // Builder assembles a CSC matrix column by column. ExD's sparse coding emits
 // one coefficient column per data column; the builder collects them in order
@@ -38,13 +35,13 @@ func (b *Builder) AppendColumn(idx []int, val []float64) {
 	start := len(b.rowIdx)
 	b.rowIdx = append(b.rowIdx, idx...)
 	b.val = append(b.val, val...)
-	seg := colSegment{b.rowIdx[start:], b.val[start:]}
-	sort.Sort(seg)
-	for i, r := range seg.idx {
+	rows := b.rowIdx[start:]
+	sortPairs(rows, b.val[start:])
+	for i, r := range rows {
 		if r < 0 || r >= b.rows {
 			panic("sparse: row index out of range")
 		}
-		if i > 0 && seg.idx[i-1] == r {
+		if i > 0 && rows[i-1] == r {
 			panic("sparse: duplicate row index in column")
 		}
 	}
@@ -68,14 +65,50 @@ func (b *Builder) Build() *CSC {
 	}
 }
 
-type colSegment struct {
-	idx []int
-	val []float64
+// insertionMax is the longest column sortPairs sorts by insertion. An
+// OMP code holds a handful of atoms; longer columns (up to min(M, L)
+// entries) are heap-sorted, so they stay O(k log k).
+const insertionMax = 16
+
+// sortPairs sorts idx ascending in place and applies the same permutation
+// to val, calling no comparison through an interface.
+func sortPairs(idx []int, val []float64) {
+	n := len(idx)
+	if n <= insertionMax {
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && idx[j] < idx[j-1]; j-- {
+				idx[j], idx[j-1] = idx[j-1], idx[j]
+				val[j], val[j-1] = val[j-1], val[j]
+			}
+		}
+		return
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		siftDown(idx, val, i, n)
+	}
+	for end := n - 1; end > 0; end-- {
+		idx[0], idx[end] = idx[end], idx[0]
+		val[0], val[end] = val[end], val[0]
+		siftDown(idx, val, 0, end)
+	}
 }
 
-func (s colSegment) Len() int           { return len(s.idx) }
-func (s colSegment) Less(i, j int) bool { return s.idx[i] < s.idx[j] }
-func (s colSegment) Swap(i, j int) {
-	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
-	s.val[i], s.val[j] = s.val[j], s.val[i]
+// siftDown restores the max-heap order of idx[:n] below node i, moving val
+// alongside.
+func siftDown(idx []int, val []float64, i, n int) {
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && idx[c+1] > idx[c] {
+			c++
+		}
+		if idx[i] >= idx[c] {
+			return
+		}
+		idx[i], idx[c] = idx[c], idx[i]
+		val[i], val[c] = val[c], val[i]
+		i = c
+	}
 }

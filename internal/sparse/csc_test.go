@@ -65,6 +65,52 @@ func TestBuilderRejectsOutOfRange(t *testing.T) {
 	NewBuilder(3).AppendColumn([]int{3}, []float64{1})
 }
 
+func TestBuilderSortsLongColumns(t *testing.T) {
+	// Short columns are insertion-sorted and long ones heap-sorted; either
+	// way the entries come out in row order with their values alongside,
+	// and a duplicate or out-of-range row still panics.
+	r := rng.New(3)
+	const rows = 400
+	for _, k := range []int{0, 1, 2, insertionMax, insertionMax + 1, 40, rows} {
+		idx := r.Subset(rows, k)
+		perm := r.Perm(k)
+		shuffled, val := make([]int, k), make([]float64, k)
+		for p, q := range perm {
+			shuffled[p] = idx[q]
+			val[p] = float64(idx[q]) + 0.5
+		}
+		m := NewBuilder(rows)
+		m.AppendColumn(shuffled, val)
+		c := m.Build()
+		if err := c.Check(); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		for p := c.ColPtr[0]; p < c.ColPtr[1]; p++ {
+			if c.Val[p] != float64(c.RowIdx[p])+0.5 {
+				t.Fatalf("k=%d: row %d carries value %v", k, c.RowIdx[p], c.Val[p])
+			}
+		}
+	}
+	for _, bad := range []struct {
+		name string
+		edit func(idx []int)
+	}{
+		{"duplicate", func(idx []int) { idx[len(idx)-1] = idx[0] }},
+		{"out-of-range", func(idx []int) { idx[len(idx)/2] = rows }},
+	} {
+		idx := r.Perm(rows)[:3*insertionMax]
+		bad.edit(idx)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("a long column with a %s row did not panic", bad.name)
+				}
+			}()
+			NewBuilder(rows).AppendColumn(idx, make([]float64, len(idx)))
+		}()
+	}
+}
+
 func TestDenseRoundTrip(t *testing.T) {
 	r := rng.New(31)
 	m := randomCSC(r, 9, 7, 0.3)

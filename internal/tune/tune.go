@@ -273,7 +273,6 @@ func probeL(a *mat.Dense, l int, perm, sizes []int, cfg Config, c *Candidate) *p
 	_, d := exd.Draw(a, l, cfg.Seed)
 	bc := omp.NewBatchCoder(d)
 	pr := &probe{perm: perm, codes: make([]omp.Result, a.Cols)}
-	col := make([]float64, a.Rows)
 	nnz := 0
 	var resid2, norm2, prev float64
 	for round, size := range sizes {
@@ -282,8 +281,7 @@ func probeL(a *mat.Dense, l int, perm, sizes []int, cfg Config, c *Candidate) *p
 		for _, j := range fresh {
 			nnz += len(pr.codes[j].Idx)
 			resid2 += pr.codes[j].Resid2
-			a.Col(j, col)
-			norm2 += mat.Dot(col, col)
+			norm2 += pr.codes[j].Norm2
 		}
 		pr.seen = size
 		c.Rounds = round + 1

@@ -136,16 +136,20 @@ echo "== go test -race (all internal packages)"
 go test -race -short -count=1 ./internal/...
 
 echo "== determinism matrix (GOMAXPROCS = 1, 2, NumCPU)"
-# The Par-kernel equivalence tests, the 24-seed chaos replay and the
-# tuner's handover (TuneAndFit's transform is exd.Fit's, bit for bit) must
-# hold under serial, dual, and fully parallel scheduling. The chaos digest
-# test compares every run against the same committed golden
+# The Par-kernel equivalence tests, the 24-seed chaos replay, the tuner's
+# handover (TuneAndFit's transform is exd.Fit's, bit for bit) and the
+# storage-order rewrites (MulTo rows are MulVecT's, the panel coder's codes
+# are Encode's, the parallel RelError is the serial loop's) must hold under
+# serial, dual, and fully parallel scheduling. The chaos digest test
+# compares every run against the same committed golden
 # (internal/cluster/chaos/testdata/replay.digest), so the three settings
 # cannot silently diverge from one another or from the recorded baseline.
 ncpu=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)
 for gmp in 1 2 "$ncpu"; do
     echo "-- GOMAXPROCS=$gmp"
-    GOMAXPROCS=$gmp go test -count=1 -run 'TestPar' ./internal/mat/
+    GOMAXPROCS=$gmp go test -count=1 -run 'TestPar|TestMulToRowsMatchMulVecT' ./internal/mat/
+    GOMAXPROCS=$gmp go test -count=1 -run 'TestEncodeColumnsMatchesPerColumn|TestEncodeColumnsAtInstallments|TestEncodeDegenerateDictionaries' ./internal/omp/
+    GOMAXPROCS=$gmp go test -count=1 -run 'TestRelErrorMatchesSerialLoop' ./internal/exd/
     GOMAXPROCS=$gmp go test -count=1 ./internal/cluster/chaos/
     GOMAXPROCS=$gmp go test -count=1 -run 'TestTuneAndFitIsExdFit|TestTuneDeterministic' ./internal/tune/
 done
