@@ -13,7 +13,8 @@ var kernelCalls = map[string]bool{
 	"MulVec": true, "MulVecT": true, "Mul": true, "MulTo": true,
 	"ParMulVec": true, "ParMulVecT": true, "ParATA": true,
 	"ATA": true, "GramColumns": true,
-	"Dot": true, "Axpy": true, "AddVec": true, "SubVec": true,
+	"Dot": true, "Axpy": true, "AxpyDot": true, "AxpyNorm2": true,
+	"AddVec": true, "SubVec": true,
 	"ScaleVec": true, "Norm2": true, "SolveInPlace": true,
 	"SolveLeastSquares": true, "Factorize": true,
 }

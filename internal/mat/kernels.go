@@ -33,6 +33,34 @@ func dotK(x, y []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
+// axpyDotK computes y += a*x and returns <z, y> of the updated y in one pass
+// over the three vectors. Each y entry is updated as axpyK updates it and
+// the dot is accumulated in dotK's order, so the result is bit-identical to
+// axpyK(a, x, y) followed by dotK(z, y). Iterates len(y); x and z must be
+// >= len(y).
+func axpyDotK(a float64, x, y, z []float64) float64 {
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+8 <= len(y); i += 8 {
+		xv := x[i : i+8 : i+8]
+		yv := y[i : i+8 : i+8]
+		zv := z[i : i+8 : i+8]
+		y0, y1, y2, y3 := yv[0]+a*xv[0], yv[1]+a*xv[1], yv[2]+a*xv[2], yv[3]+a*xv[3]
+		y4, y5, y6, y7 := yv[4]+a*xv[4], yv[5]+a*xv[5], yv[6]+a*xv[6], yv[7]+a*xv[7]
+		yv[0], yv[1], yv[2], yv[3], yv[4], yv[5], yv[6], yv[7] = y0, y1, y2, y3, y4, y5, y6, y7
+		s0 += zv[0]*y0 + zv[4]*y4
+		s1 += zv[1]*y1 + zv[5]*y5
+		s2 += zv[2]*y2 + zv[6]*y6
+		s3 += zv[3]*y3 + zv[7]*y7
+	}
+	for ; i < len(y); i++ {
+		yi := y[i] + a*x[i]
+		y[i] = yi
+		s0 += z[i] * yi
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
 // dot2K returns (<r0, x>, <r1, x>): two row-dots sharing every load of x,
 // each with 2 independent accumulators. Two concurrent row streams beat the
 // single-stream bandwidth ceiling, which is why MulVec pairs its rows.

@@ -14,18 +14,49 @@ func Dot(x, y []float64) float64 {
 func Norm2(x []float64) float64 {
 	var scale, ssq float64 = 0, 1
 	for _, v := range x {
-		if v == 0 {
-			continue
-		}
-		a := math.Abs(v)
-		if scale < a {
-			r := scale / a
-			ssq = 1 + ssq*r*r
-			scale = a
-		} else {
-			r := a / scale
-			ssq += r * r
-		}
+		scale, ssq = ssqStep(v, scale, ssq)
+	}
+	return scale * math.Sqrt(ssq)
+}
+
+// ssqStep folds v into the scaled sum of squares behind Norm2, whose norm
+// is scale·√ssq: the scale tracks the largest magnitude seen, so no square
+// overflows or underflows.
+func ssqStep(v, scale, ssq float64) (float64, float64) {
+	if v == 0 {
+		return scale, ssq
+	}
+	a := math.Abs(v)
+	if scale < a {
+		r := scale / a
+		return a, 1 + ssq*r*r
+	}
+	r := a / scale
+	return scale, ssq + r*r
+}
+
+// AxpyDot computes y += alpha*x and returns Dot(z, y) of the updated y, in
+// one pass over the three vectors. It is bit-identical to Axpy followed by
+// Dot. Lengths must match.
+func AxpyDot(alpha float64, x, y, z []float64) float64 {
+	if len(x) != len(y) || len(z) != len(y) {
+		panic("mat: AxpyDot length mismatch")
+	}
+	return axpyDotK(alpha, x, y, z)
+}
+
+// AxpyNorm2 computes y += alpha*x and returns Norm2(y) of the updated y, in
+// one pass. It is bit-identical to Axpy followed by Norm2. Lengths must
+// match.
+func AxpyNorm2(alpha float64, x, y []float64) float64 {
+	if len(x) != len(y) {
+		panic("mat: AxpyNorm2 length mismatch")
+	}
+	var scale, ssq float64 = 0, 1
+	for i, xi := range x {
+		v := y[i] + alpha*xi
+		y[i] = v
+		scale, ssq = ssqStep(v, scale, ssq)
 	}
 	return scale * math.Sqrt(ssq)
 }

@@ -72,8 +72,7 @@ func SparsePCA(op dist.Operator, opts SparsePCAOpts) SparsePCAResult {
 		for i := range x {
 			x[i] = r.NormFloat64()
 		}
-		deflate(x, found)
-		normalize(x)
+		normalize(x, found)
 		// Warm start: a few dense power iterations align x with the
 		// leading (deflated) eigenvector before truncation kicks in —
 		// truncated power iteration from a cold random start can lock
@@ -82,15 +81,14 @@ func SparsePCA(op dist.Operator, opts SparsePCAOpts) SparsePCAResult {
 			st := op.Apply(x, gx)
 			res.Stats.Accumulate(st)
 			res.Iters++
-			deflate(gx, found)
-			if n := mat.Norm2(gx); n > 0 {
+			if n := deflate(gx, found, nil); n > 0 {
 				for i := range x {
 					x[i] = gx[i] / n
 				}
 			}
 		}
 		truncate(x, opts.Cardinality)
-		normalize(x)
+		normalize(x, nil)
 
 		variance, prev := 0.0, math.Inf(1)
 		for it := 0; it < opts.MaxIters; it++ {
@@ -98,9 +96,8 @@ func SparsePCA(op dist.Operator, opts SparsePCAOpts) SparsePCAResult {
 			res.Stats.Accumulate(st)
 			res.Iters++
 
-			deflate(gx, found)
-			// Explained variance of the CURRENT iterate: xᵀGx.
-			variance = mat.Dot(x, gx)
+			// Explained variance of the CURRENT iterate: xᵀGx, G deflated.
+			variance = deflate(gx, found, x)
 
 			truncate(gx, opts.Cardinality)
 			nrm := mat.Norm2(gx)

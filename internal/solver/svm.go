@@ -83,7 +83,7 @@ func SVM(op dist.Operator, labels []float64, opts SVMOpts) SVMResult {
 	for i := range x {
 		x[i] = r.NormFloat64()
 	}
-	normalize(x)
+	normalize(x, nil)
 	gx := make([]float64, n)
 	lmax := 1.0
 	for it := 0; it < 12; it++ {

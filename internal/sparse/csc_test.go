@@ -279,3 +279,26 @@ func BenchmarkMulVecSparse(b *testing.B) {
 		m.MulVec(x, y)
 	}
 }
+
+// BenchmarkMulVecShortColumns times both kernels on the tuned lightfield C's
+// shape: 78×24576 with 1–4 entries per column, the columns the short path
+// codes. BenchmarkMulVecSparse's ≈5 entries per column mostly bypass it.
+func BenchmarkMulVecShortColumns(b *testing.B) {
+	r := rng.New(1)
+	m := lightfieldCSC(r, 24576)
+	x := make([]float64, m.Cols)
+	for i := range x {
+		x[i] = r.NormFloat64()
+	}
+	v := m.MulVec(x, nil)
+	b.Run("MulVec", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m.MulVec(x, v)
+		}
+	})
+	b.Run("MulVecT", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m.MulVecT(v, x)
+		}
+	})
+}

@@ -16,26 +16,54 @@ func decodeInts(b []byte) []int {
 	return out
 }
 
+// fuzzSpecials are the values the top byte values of decodeVec stand for.
+var fuzzSpecials = [...]float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	math.NaN(), 1e308, -1e308}
+
+// decodeVec turns fuzzer bytes into a length-n vector. Each byte is a small
+// signed integer, +0 included, except the top few values, which stand for
+// -0, ±Inf, NaN and ±1e308. Entries past the bytes read as 1.
+func decodeVec(b []byte, n int) []float64 {
+	x := make([]float64, n)
+	first := 256 - len(fuzzSpecials)
+	for i := range x {
+		switch {
+		case i >= len(b):
+			x[i] = 1
+		case int(b[i]) >= first:
+			x[i] = fuzzSpecials[int(b[i])-first]
+		default:
+			x[i] = float64(int8(b[i]))
+		}
+	}
+	return x
+}
+
 // FuzzCSCCheck decodes arbitrary bytes into a CSC skeleton and asserts the
 // validator's contract: malformed structures (bad pointers, out-of-range or
 // unsorted rows, negative dims) must be reported as errors, never as panics,
-// and anything Check accepts must survive the full operation surface.
+// and anything Check accepts must survive the full operation surface, with
+// MulVec and MulVecT matching the reference loops bit for bit on a
+// fuzzer-drawn x.
 func FuzzCSCCheck(f *testing.F) {
 	// Valid 3x2 matrix: cols {0:1, 2:-2} and {1:3}.
-	f.Add(3, 2, []byte{0, 2, 3}, []byte{0, 2, 1}, []byte{1, 254, 3})
+	f.Add(3, 2, []byte{0, 2, 3}, []byte{0, 2, 1}, []byte{1, 254, 3}, []byte{})
 	// Valid with an empty middle column.
-	f.Add(2, 3, []byte{0, 1, 1, 2}, []byte{0, 1}, []byte{5, 7})
+	f.Add(2, 3, []byte{0, 1, 1, 2}, []byte{0, 1}, []byte{5, 7}, []byte{2, 0, 3})
+	// Short columns whose masked lanes meet Inf, NaN and -0 in x.
+	f.Add(4, 4, []byte{0, 1, 3, 4, 6}, []byte{0, 1, 3, 2, 0, 3},
+		[]byte{1, 2, 3, 4, 5, 6}, []byte{251, 252, 253, 250})
 	// Empty matrix and degenerate shapes.
-	f.Add(0, 0, []byte{0}, []byte{}, []byte{})
-	f.Add(0, 2, []byte{0, 0, 0}, []byte{}, []byte{})
+	f.Add(0, 0, []byte{0}, []byte{}, []byte{}, []byte{})
+	f.Add(0, 2, []byte{0, 0, 0}, []byte{}, []byte{}, []byte{255})
 	// Malformed: negative dims, short ColPtr, decreasing ColPtr,
 	// out-of-range row, duplicate (non-increasing) rows.
-	f.Add(-1, -1, []byte{}, []byte{}, []byte{})
-	f.Add(3, 2, []byte{0, 1}, []byte{0}, []byte{1})
-	f.Add(3, 2, []byte{0, 2, 1}, []byte{0, 1}, []byte{1, 2})
-	f.Add(2, 1, []byte{0, 1}, []byte{9}, []byte{1})
-	f.Add(3, 1, []byte{0, 2}, []byte{1, 1}, []byte{1, 2})
-	f.Fuzz(func(t *testing.T, rows, cols int, ptr, idx, vals []byte) {
+	f.Add(-1, -1, []byte{}, []byte{}, []byte{}, []byte{})
+	f.Add(3, 2, []byte{0, 1}, []byte{0}, []byte{1}, []byte{})
+	f.Add(3, 2, []byte{0, 2, 1}, []byte{0, 1}, []byte{1, 2}, []byte{})
+	f.Add(2, 1, []byte{0, 1}, []byte{9}, []byte{1}, []byte{})
+	f.Add(3, 1, []byte{0, 2}, []byte{1, 1}, []byte{1, 2}, []byte{})
+	f.Fuzz(func(t *testing.T, rows, cols int, ptr, idx, vals, xs []byte) {
 		m := &CSC{
 			Rows:   rows,
 			Cols:   cols,
@@ -61,12 +89,7 @@ func FuzzCSCCheck(f *testing.F) {
 				}
 			}
 		}
-		x := make([]float64, m.Cols)
-		for i := range x {
-			x[i] = 1
-		}
-		y := m.MulVec(x, nil)
-		_ = m.MulVecT(y, nil)
+		checkKernels(t, "fuzz", m, decodeVec(xs, m.Cols), decodeVec(xs, m.Rows))
 		if m.Cols > 0 {
 			sub := m.ColSliceRange(0, m.Cols)
 			if err := sub.Check(); err != nil {

@@ -136,22 +136,13 @@ echo "== go test -race (all internal packages)"
 go test -race -short -count=1 ./internal/...
 
 echo "== determinism matrix (GOMAXPROCS = 1, 2, NumCPU)"
-# The Par-kernel equivalence tests, the 24-seed chaos replay, the tuner's
-# handover (TuneAndFit's transform is exd.Fit's, bit for bit) and the
-# storage-order rewrites (MulTo rows are MulVecT's, the panel coder's codes
-# are Encode's, the parallel RelError is the serial loop's) must hold under
-# serial, dual, and fully parallel scheduling. The chaos digest test
-# compares every run against the same committed golden
-# (internal/cluster/chaos/testdata/replay.digest), so the three settings
-# cannot silently diverge from one another or from the recorded baseline.
+# The determinism list lives in scripts/determinism.sh, which the CI
+# workflow's determinism job runs too: the list's tests must hold under
+# serial, dual, and fully parallel scheduling.
 ncpu=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)
 for gmp in 1 2 "$ncpu"; do
     echo "-- GOMAXPROCS=$gmp"
-    GOMAXPROCS=$gmp go test -count=1 -run 'TestPar|TestMulToRowsMatchMulVecT' ./internal/mat/
-    GOMAXPROCS=$gmp go test -count=1 -run 'TestEncodeColumnsMatchesPerColumn|TestEncodeColumnsAtInstallments|TestEncodeDegenerateDictionaries' ./internal/omp/
-    GOMAXPROCS=$gmp go test -count=1 -run 'TestRelErrorMatchesSerialLoop' ./internal/exd/
-    GOMAXPROCS=$gmp go test -count=1 ./internal/cluster/chaos/
-    GOMAXPROCS=$gmp go test -count=1 -run 'TestTuneAndFitIsExdFit|TestTuneDeterministic' ./internal/tune/
+    GOMAXPROCS=$gmp bash scripts/determinism.sh
 done
 
 echo "== perfbench (the repository benchmark must build, pass its tests and lint clean)"
@@ -165,7 +156,7 @@ go run ./cmd/extdict-lint ./perfbench/...
 echo "== bench smoke (kernel benchmarks must run)"
 # One iteration of every kernel microbenchmark: catches benchmarks that
 # panic or no longer compile without paying the full measurement cost.
-go test -run '^$' -bench . -benchtime 1x -count=1 ./internal/mat/ ./internal/omp/ ./internal/dist/ >/dev/null
+go test -run '^$' -bench . -benchtime 1x -count=1 ./internal/mat/ ./internal/omp/ ./internal/dist/ ./internal/sparse/ >/dev/null
 
 echo "== extdict-bench -json (report must be machine-readable)"
 # The JSON baseline pipeline behind BENCH_PR5.json/BENCH_PR10.json: emit a

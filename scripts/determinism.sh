@@ -1,0 +1,24 @@
+#!/usr/bin/env bash
+# determinism.sh — the determinism list, run once at the caller's GOMAXPROCS.
+#
+#   GOMAXPROCS=1 bash scripts/determinism.sh
+#
+# The Par-kernel equivalence tests, the 24-seed chaos replay, the tuner's
+# handover (TuneAndFit's transform is exd.Fit's, bit for bit) and the
+# storage-order rewrites (MulTo rows are MulVecT's, the panel coder's codes
+# are Encode's, the parallel RelError is the serial loop's) must hold under
+# serial, dual and fully parallel scheduling. The chaos digest test compares
+# every run against the same committed golden
+# (internal/cluster/chaos/testdata/replay.digest), so runs at different
+# settings cannot silently diverge from one another or from the recorded
+# baseline. scripts/ci.sh runs this list at GOMAXPROCS = 1, 2 and NumCPU, and
+# the CI workflow's determinism job at each of its matrix settings, so the
+# two always run the same tests.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+go test -count=1 -run 'TestPar|TestMulToRowsMatchMulVecT' ./internal/mat/
+go test -count=1 -run 'TestEncodeColumnsMatchesPerColumn|TestEncodeColumnsAtInstallments|TestEncodeDegenerateDictionaries' ./internal/omp/
+go test -count=1 -run 'TestRelErrorMatchesSerialLoop' ./internal/exd/
+go test -count=1 ./internal/cluster/chaos/
+go test -count=1 -run 'TestTuneAndFitIsExdFit|TestTuneDeterministic' ./internal/tune/
