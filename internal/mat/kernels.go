@@ -118,31 +118,30 @@ func dot4K(r0, r1, r2, r3, x []float64) (float64, float64, float64, float64) {
 // x — seven concurrent streams per pass, each row reduced through a paired
 // tree (one accumulator per row; the tree breaks the serial add chain). The
 // widest profitable row blocking for MulVec on a bandwidth-bound core: six
-// streams saturate the load ports where four leave bandwidth unused.
+// streams saturate the load ports where four leave bandwidth unused. The
+// rows are resliced to len(x) up front, so the compiler proves every row
+// index in bounds and only x's loads keep their checks.
 func dot6K(r0, r1, r2, r3, r4, r5, x []float64) (y0, y1, y2, y3, y4, y5 float64) {
+	n := len(x)
+	r0, r1, r2, r3, r4, r5 = r0[:n], r1[:n], r2[:n], r3[:n], r4[:n], r5[:n]
 	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		xv := x[i : i+4 : i+4]
-		u := r0[i : i+4 : i+4]
-		v := r1[i : i+4 : i+4]
-		w := r2[i : i+4 : i+4]
-		z := r3[i : i+4 : i+4]
-		s := r4[i : i+4 : i+4]
-		t := r5[i : i+4 : i+4]
-		y0 += (u[0]*xv[0] + u[1]*xv[1]) + (u[2]*xv[2] + u[3]*xv[3])
-		y1 += (v[0]*xv[0] + v[1]*xv[1]) + (v[2]*xv[2] + v[3]*xv[3])
-		y2 += (w[0]*xv[0] + w[1]*xv[1]) + (w[2]*xv[2] + w[3]*xv[3])
-		y3 += (z[0]*xv[0] + z[1]*xv[1]) + (z[2]*xv[2] + z[3]*xv[3])
-		y4 += (s[0]*xv[0] + s[1]*xv[1]) + (s[2]*xv[2] + s[3]*xv[3])
-		y5 += (t[0]*xv[0] + t[1]*xv[1]) + (t[2]*xv[2] + t[3]*xv[3])
+	for ; i+4 <= n; i += 4 {
+		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
+		y0 += (r0[i]*x0 + r0[i+1]*x1) + (r0[i+2]*x2 + r0[i+3]*x3)
+		y1 += (r1[i]*x0 + r1[i+1]*x1) + (r1[i+2]*x2 + r1[i+3]*x3)
+		y2 += (r2[i]*x0 + r2[i+1]*x1) + (r2[i+2]*x2 + r2[i+3]*x3)
+		y3 += (r3[i]*x0 + r3[i+1]*x1) + (r3[i+2]*x2 + r3[i+3]*x3)
+		y4 += (r4[i]*x0 + r4[i+1]*x1) + (r4[i+2]*x2 + r4[i+3]*x3)
+		y5 += (r5[i]*x0 + r5[i+1]*x1) + (r5[i+2]*x2 + r5[i+3]*x3)
 	}
-	for ; i < len(x); i++ {
-		y0 += r0[i] * x[i]
-		y1 += r1[i] * x[i]
-		y2 += r2[i] * x[i]
-		y3 += r3[i] * x[i]
-		y4 += r4[i] * x[i]
-		y5 += r5[i] * x[i]
+	for ; i < n; i++ {
+		xi := x[i]
+		y0 += r0[i] * xi
+		y1 += r1[i] * xi
+		y2 += r2[i] * xi
+		y3 += r3[i] * xi
+		y4 += r4[i] * xi
+		y5 += r5[i] * xi
 	}
 	return
 }
@@ -165,15 +164,12 @@ func axpyK(a float64, x, y []float64) {
 }
 
 // axpy4K computes y += a0*r0 + a1*r1 + a2*r2 + a3*r3 in one pass, fusing four
-// row streams per load of y. Iterates len(y); rows must be >= len(y).
+// row streams per load of y. The rows are resliced to len(y) up front, so
+// the loop carries no bounds check. Iterates len(y); rows must be >= len(y).
 func axpy4K(a0, a1, a2, a3 float64, r0, r1, r2, r3, y []float64) {
 	n := len(y)
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		y[i] += (a0*r0[i] + a1*r1[i]) + (a2*r2[i] + a3*r3[i])
-		y[i+1] += (a0*r0[i+1] + a1*r1[i+1]) + (a2*r2[i+1] + a3*r3[i+1])
-	}
-	if i < n {
+	r0, r1, r2, r3 = r0[:n], r1[:n], r2[:n], r3[:n]
+	for i := range y {
 		y[i] += (a0*r0[i] + a1*r1[i]) + (a2*r2[i] + a3*r3[i])
 	}
 }

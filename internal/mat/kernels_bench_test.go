@@ -117,6 +117,37 @@ func BenchmarkMulVecTKernel(b *testing.B) {
 	})
 }
 
+// BenchmarkBlockKernels times MulVec (dot6K) and MulVecT (axpy4K) on a
+// 192×384 block — one of solve-raw's 64 blocks of A — beside the same row
+// blocking over the pre-rewrite kernels (refDot6K, refAxpy4K). Both sides
+// produce the same bits; the gap is the bounds checks.
+func BenchmarkBlockKernels(b *testing.B) {
+	const rows, cols = 192, 384
+	a := benchMatrix(rows, cols, 12)
+	x, xt := benchVec(cols, 13), benchVec(rows, 14)
+	y, yt := make([]float64, rows), make([]float64, cols)
+	b.Run("MulVec", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			a.MulVec(x, y)
+		}
+	})
+	b.Run("MulVec/ref", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			refBlockedMulVec(a, x, y)
+		}
+	})
+	b.Run("MulVecT", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			a.MulVecT(xt, yt)
+		}
+	})
+	b.Run("MulVecT/ref", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			refBlockedMulVecT(a, xt, yt)
+		}
+	})
+}
+
 func BenchmarkATAKernel(b *testing.B) {
 	for _, n := range []int{128, 256} {
 		a := benchMatrix(n, n, 5)

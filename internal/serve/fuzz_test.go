@@ -19,7 +19,8 @@ import (
 // arbitrary bodies: the handler never panics, answers only 200, 400, 404,
 // 429 or 503, and every 200 decodes and matches a serial BatchCoder.Encode
 // of the same signal bit for bit. It also checks the handler's claim that a
-// body which decodes carries only finite numbers.
+// body which decodes carries only finite numbers. The reference decoder is
+// encoding/json, independent of the handler's wire codec.
 func FuzzCodeHandlers(f *testing.F) {
 	const tol = 0.1
 	d := unitDictionary(rng.New(61), 6, 12)
@@ -38,6 +39,13 @@ func FuzzCodeHandlers(f *testing.F) {
 	f.Add(false, []byte(`{"dict":"nope","signal":[1,2,3,4,5,6]}`)) // unknown dict
 	f.Add(false, []byte(`{"signal":[1e400,0,0,0,0,0]}`))           // beyond float64
 	f.Add(true, []byte(`{"signal":[1e200,1e200,0,0,0,0]}`))        // ‖a‖² overflows
+	// Bodies json.Decoder let through and the wire codec refuses with 400:
+	// bytes after the object, a body over the cap, a member name that
+	// matches only by Unicode folding, and a null signal element.
+	f.Add(false, []byte(`{"dict":"d","signal":[0.5,-1,0.25,2,0,1e-3]} {}`))
+	f.Add(true, append(append([]byte{}, valid...), bytes.Repeat([]byte(" "), codeBodyCap(d.Rows))...))
+	f.Add(false, []byte(`{"ſignal":[0.5,-1,0.25,2,0,1e-3]}`))
+	f.Add(true, []byte(`{"signal":[0.5,null,0.25,2,0,1e-3]}`))
 	f.Fuzz(func(t *testing.T, denoise bool, body []byte) {
 		path := "/v1/encode"
 		if denoise {

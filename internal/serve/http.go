@@ -6,13 +6,15 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
 
 	"extdict/internal/mat"
 	"extdict/internal/matio"
 )
 
-// maxBodyBytes bounds request bodies: signals are M floats (a few KB), and
-// reloadz matrices at paper scale stay well under this.
+// maxBodyBytes bounds /v1/reloadz bodies: matrices at paper scale stay
+// well under it. Encode and denoise bodies have a cap sized to the signal
+// (codeBodyCap).
 const maxBodyBytes = 256 << 20
 
 // EncodeRequest is the body of POST /v1/encode and POST /v1/denoise. Dict
@@ -113,12 +115,20 @@ func (s *Server) routes() *http.ServeMux {
 // Mux returns the HTTP handler serving the /v1 API.
 func (s *Server) Mux() http.Handler { return s.mux }
 
-// handleCode is the shared encode/denoise path: decode, validate, admit,
-// wait for the batcher, respond.
+// handleCode is the shared encode/denoise path: read and decode the body
+// through the wire codec, validate, admit, wait for the batcher, respond.
+// One pooled buffer holds the body and then the 200 response.
 func (s *Server) handleCode(w http.ResponseWriter, r *http.Request, kind reqKind) {
-	var in EncodeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&in); err != nil {
+	buf := s.getBuf()
+	defer s.putBuf(buf)
+	body, err := readBody(http.MaxBytesReader(w, r.Body, int64(s.bodyCap)), *buf, s.bodyCap)
+	*buf = body
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
+		return
+	}
+	in, err := decodeRequest(body, s.maxRows)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
 		return
 	}
@@ -155,17 +165,25 @@ func (s *Server) handleCode(w http.ResponseWriter, r *http.Request, kind reqKind
 		return
 	}
 
+	out := (*buf)[:0]
 	if kind == kindDenoise {
-		writeJSON(w, http.StatusOK, DenoiseResponse{
+		out = appendDenoiseResponse(out, sh.wireName, &DenoiseResponse{
 			Dict: sh.name, Epoch: req.epoch, Batch: req.batch,
 			Denoised: req.denoised, Resid2: req.res.Resid2, Iters: req.res.Iters,
 		})
-		return
+	} else {
+		out = appendEncodeResponse(out, sh.wireName, &EncodeResponse{
+			Dict: sh.name, Epoch: req.epoch, Batch: req.batch,
+			Idx: req.res.Idx, Coef: req.res.Coef, Resid2: req.res.Resid2, Iters: req.res.Iters,
+		})
 	}
-	writeJSON(w, http.StatusOK, EncodeResponse{
-		Dict: sh.name, Epoch: req.epoch, Batch: req.batch,
-		Idx: req.res.Idx, Coef: req.res.Coef, Resid2: req.res.Resid2, Iters: req.res.Iters,
-	})
+	*buf = out
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(out)))
+	w.WriteHeader(http.StatusOK)
+	// A write error means the client hung up; there is no one left to tell.
+	_, _ = w.Write(out)
 }
 
 // handleReload hot-swaps a dictionary from the request body: a CSV or EDM

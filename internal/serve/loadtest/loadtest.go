@@ -6,6 +6,11 @@
 // coefficient. The harness reports a latency histogram (p50/p99) and the
 // achieved batch-size distribution from the server's statsz counters, which
 // is what the committed BENCH_PR9.json artifact captures.
+//
+// The client encodes requests and decodes responses with encoding/json on
+// purpose, not with the server's wire codec: an independent codec is what
+// lets the bit-identity check catch a codec bug, where a shared one would
+// make the same mistake on both ends.
 package loadtest
 
 import (

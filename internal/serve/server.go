@@ -90,6 +90,15 @@ type Server struct {
 	names  []string          // sorted shard names, frozen after New
 	mux    *http.ServeMux
 	wg     sync.WaitGroup
+
+	// maxRows is the largest served M and bodyCap the encode/denoise body
+	// cap derived from it (codeBodyCap); both frozen after New, since a
+	// shard's M never changes.
+	maxRows int
+	bodyCap int
+	// bufs pools the *[]byte wire buffers of the encode/denoise 200 path;
+	// none larger than bodyCap is put back.
+	bufs sync.Pool
 }
 
 // New builds a server holding the given dictionaries (name → M×L matrix
@@ -122,7 +131,9 @@ func New(dicts map[string]*mat.Dense, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: dictionary %q is empty", name)
 		}
 		s.shards[name] = newShard(name, d, &s.cfg)
+		s.maxRows = max(s.maxRows, d.Rows)
 	}
+	s.bodyCap = codeBodyCap(s.maxRows)
 	s.mux = s.routes()
 	for _, name := range s.names {
 		sh := s.shards[name]

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -65,9 +66,10 @@ type shardStats struct {
 // request queue, and a single batcher goroutine that coalesces queued
 // requests into Batch-OMP panels.
 type shard struct {
-	name string
-	rows int // signal dimension M, fixed for the shard's lifetime
-	cfg  *Config
+	name     string
+	wireName []byte // name as encoding/json writes a string, for the 200 bodies
+	rows     int    // signal dimension M, fixed for the shard's lifetime
+	cfg      *Config
 
 	snap   atomic.Pointer[snapshot]
 	swapMu sync.Mutex // serializes swaps so epochs increment exactly once
@@ -96,11 +98,13 @@ var (
 // newShard builds a shard around an already-validated dictionary and
 // publishes epoch 1.
 func newShard(name string, d *mat.Dense, cfg *Config) *shard {
+	wireName, _ := json.Marshal(name) // a string always marshals
 	sh := &shard{
-		name:  name,
-		rows:  d.Rows,
-		cfg:   cfg,
-		reqCh: make(chan *request, cfg.QueueCap),
+		name:     name,
+		wireName: wireName,
+		rows:     d.Rows,
+		cfg:      cfg,
+		reqCh:    make(chan *request, cfg.QueueCap),
 	}
 	sh.stats.hist = make([]atomic.Int64, cfg.BatchMax)
 	sh.snap.Store(&snapshot{dict: d, coder: omp.NewBatchCoder(d), epoch: 1})
