@@ -37,6 +37,14 @@ func tableOnly(table string) artifact {
 	return artifact{Table: table, Metrics: map[string]float64{}}
 }
 
+// boolMetric encodes a flag as a metric: 1 for true, 0 for false.
+func boolMetric(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // registry maps experiment ids to drivers.
 func registry(trials, components int) map[string]runner {
 	return map[string]runner{
@@ -120,28 +128,67 @@ func registry(trials, components int) map[string]runner {
 			if err != nil {
 				return artifact{}, err
 			}
-			return tableOnly(r.Table()), nil
+			m := map[string]float64{}
+			for _, app := range r.Apps {
+				for _, cell := range app.Cells {
+					key := fmt.Sprintf("%s_P%d", app.Name, cell.Platform.P())
+					m["extdict_s_"+key] = cell.ExtDictSec
+					m["extdict_iters_"+key] = float64(cell.ExtDictIters)
+					m["sgd_s_"+key] = cell.SGDSec
+					m["sgd_iters_"+key] = float64(cell.SGDIters)
+					m["sgd_reached_"+key] = boolMetric(cell.SGDReached)
+					m["improvement_"+key] = cell.Improvement
+				}
+			}
+			return artifact{Table: r.Table(), Metrics: m}, nil
 		},
 		"fig10": func(c benchConfig) (artifact, error) {
 			r, err := experiments.Fig10(c.cfg(), components)
 			if err != nil {
 				return artifact{}, err
 			}
-			return tableOnly(r.Table()), nil
+			m := map[string]float64{}
+			for _, ds := range r.Datasets {
+				for _, cell := range ds.Cells {
+					key := fmt.Sprintf("%s_P%d", ds.Name, cell.Platform.P())
+					m["ata_s_"+key] = cell.BaselineSec
+					m["ata_iters_"+key] = float64(cell.BaselineIters)
+					m["extdict_s_"+key] = cell.ExtDictSec
+					m["extdict_iters_"+key] = float64(cell.ExtDictIters)
+					m["improvement_"+key] = cell.Improvement
+					m["chosen_l_"+key] = float64(cell.ChosenL)
+				}
+			}
+			return artifact{Table: r.Table(), Metrics: m}, nil
 		},
 		"fig11": func(c benchConfig) (artifact, error) {
 			r, err := experiments.Fig11(c.cfg())
 			if err != nil {
 				return artifact{}, err
 			}
-			return tableOnly(r.Table()), nil
+			m := map[string]float64{}
+			for _, app := range r.Apps {
+				for _, p := range app.Points {
+					key := fmt.Sprintf("%s_eps%g", app.Name, p.Epsilon)
+					m["rel_error_"+key] = p.RelError
+					m["psnr_db_"+key] = p.PSNRdB
+					m["iters_"+key] = float64(p.Iters)
+				}
+			}
+			return artifact{Table: r.Table(), Metrics: m}, nil
 		},
 		"fig12": func(c benchConfig) (artifact, error) {
 			r, err := experiments.Fig12(c.cfg(), components)
 			if err != nil {
 				return artifact{}, err
 			}
-			return tableOnly(r.Table()), nil
+			m := map[string]float64{}
+			for _, ds := range r.Datasets {
+				for _, p := range ds.Points {
+					m[fmt.Sprintf("learning_error_%s_eps%g", ds.Name, p.Epsilon)] = p.LearningError
+				}
+			}
+			return artifact{Table: r.Table(), Metrics: m}, nil
 		},
 		"serve": runServe,
 	}

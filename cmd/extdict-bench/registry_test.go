@@ -8,12 +8,17 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"extdict/internal/mat"
 )
 
 // goldenExperiments are the artifacts whose metrics carry the paper's
 // numbers: fig4's α(L) curve, fig7's per-platform improvements and chosen
-// L, and Table II's tuned dictionaries.
-var goldenExperiments = []string{"fig4", "fig7", "tab2"}
+// L, Table II's tuned dictionaries, and the solver artifacts — fig9's and
+// fig11's LASSO solves and fig10's and fig12's power-method solves. fig9
+// and fig10 price their runs with ModeledTime, so their times are
+// deterministic too.
+var goldenExperiments = []string{"fig4", "fig7", "tab2", "fig9", "fig10", "fig11", "fig12"}
 
 // wallClockMetric reports whether a metric key is a timing, which varies
 // run to run and so stays out of the golden.
@@ -21,13 +26,19 @@ func wallClockMetric(key string) bool {
 	return strings.HasPrefix(key, "tuning_ms_") || strings.HasPrefix(key, "transf_ms_")
 }
 
-// TestExperimentMetricsGolden pins every deterministic metric of fig4,
-// fig7 and tab2 at a small scale against a committed golden, compared
+// TestExperimentMetricsGolden pins every deterministic metric of the
+// goldenExperiments at a small scale against a committed golden, compared
 // exactly, so a change that moves a paper number fails go test. Regenerate
 // after a deliberate change with
 //
 //	UPDATE_EXPERIMENT_METRICS=1 go test -run TestExperimentMetricsGolden ./cmd/extdict-bench/
 func TestExperimentMetricsGolden(t *testing.T) {
+	// ParMulVecT adds one partial sum per worker, so the LASSO iterates of
+	// fig9 and fig11 (whose D has 1600 and 576 rows, past the parallel
+	// threshold) follow mat.Workers in their last bits. The golden pins the
+	// serial path, so it holds at any GOMAXPROCS.
+	defer func(w int) { mat.Workers = w }(mat.Workers)
+	mat.Workers = 1
 	reg := registry(10, 10)
 	cfg := benchConfig{Scale: 0.05, Seed: 1}
 	got := map[string]map[string]float64{}
