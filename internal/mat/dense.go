@@ -106,17 +106,17 @@ func (m *Dense) RowSlice(rows []int) *Dense {
 	return out
 }
 
-// ColRange returns a view of columns [j0, j1) sharing m's storage.
+// ColRange returns a view of columns [j0, j1) sharing m's storage. A
+// matrix with no rows gives an empty view.
 func (m *Dense) ColRange(j0, j1 int) *Dense {
 	if j0 < 0 || j1 < j0 || j1 > m.Cols {
 		panic("mat: ColRange out of bounds")
 	}
-	return &Dense{
-		Rows:   m.Rows,
-		Cols:   j1 - j0,
-		Stride: m.Stride,
-		Data:   m.Data[j0 : (m.Rows-1)*m.Stride+j1],
+	v := &Dense{Rows: m.Rows, Cols: j1 - j0, Stride: m.Stride}
+	if m.Rows > 0 {
+		v.Data = m.Data[j0 : (m.Rows-1)*m.Stride+j1]
 	}
+	return v
 }
 
 // T returns a newly allocated transpose of m.

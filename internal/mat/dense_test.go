@@ -108,6 +108,28 @@ func TestColRangeView(t *testing.T) {
 	}
 }
 
+func TestColRangeZeroRows(t *testing.T) {
+	m := NewDense(0, 5)
+	v := m.ColRange(1, 3)
+	if v.Rows != 0 || v.Cols != 2 || len(v.Data) != 0 {
+		t.Fatalf("view of a 0-row matrix is %dx%d with %d entries, want an empty 0x2",
+			v.Rows, v.Cols, len(v.Data))
+	}
+	if y := v.MulVec([]float64{1, 2}, nil); len(y) != 0 {
+		t.Fatalf("MulVec on the empty view returned %d entries", len(y))
+	}
+	for _, b := range [][2]int{{-1, 2}, {3, 2}, {0, 6}} {
+		func() {
+			defer func() {
+				if r := recover(); r != "mat: ColRange out of bounds" {
+					t.Fatalf("ColRange(%d, %d) on 0x5 panicked with %v", b[0], b[1], r)
+				}
+			}()
+			m.ColRange(b[0], b[1])
+		}()
+	}
+}
+
 func TestTranspose(t *testing.T) {
 	r := rng.New(1)
 	m := randomDense(r, 5, 3)

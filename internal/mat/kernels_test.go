@@ -128,15 +128,11 @@ func pinFill(r *rng.RNG, v []float64, specials bool) {
 	}
 }
 
-// pinMatrices returns a rows×cols matrix and, when rows > 0, a ColRange
-// view of the same shape into a wider one (stride ≠ cols), both filled by
-// pinFill.
+// pinMatrices returns a rows×cols matrix and a ColRange view of the same
+// shape into a wider one (stride ≠ cols), both filled by pinFill.
 func pinMatrices(r *rng.RNG, rows, cols int, specials bool) []*Dense {
 	dense := NewDense(rows, cols)
 	pinFill(r, dense.Data, specials)
-	if rows == 0 { // ColRange needs a row to anchor its view
-		return []*Dense{dense}
-	}
 	wide := NewDense(rows, cols+7)
 	pinFill(r, wide.Data, specials)
 	return []*Dense{dense, wide.ColRange(3, 3+cols)}
