@@ -217,3 +217,30 @@ func BenchmarkParKernels(b *testing.B) {
 		})
 	}
 }
+
+// normSink keeps the benchmarked norms' results live.
+var normSink float64
+
+// BenchmarkNormKernels times the one-pass FastNorm2 and AxpyNorm2 at the
+// lightfield preset's N = 24 576 beside Norm2's scaled recurrence (a
+// division per entry) and the Dot and AxpyDot passes they mirror.
+func BenchmarkNormKernels(b *testing.B) {
+	const n = 24576
+	x, y := benchVec(n, 15), benchVec(n, 16)
+	for _, c := range []struct {
+		name string
+		f    func() float64
+	}{
+		{"FastNorm2", func() float64 { return FastNorm2(x) }},
+		{"Norm2", func() float64 { return Norm2(x) }},
+		{"Dot", func() float64 { return Dot(x, x) }},
+		{"AxpyNorm2", func() float64 { return AxpyNorm2(0x1p-30, x, y) }},
+		{"AxpyDot", func() float64 { return AxpyDot(0x1p-30, x, y, y) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				normSink = c.f()
+			}
+		})
+	}
+}

@@ -58,17 +58,30 @@ func TestAxpyDotMatchesAxpyThenDot(t *testing.T) {
 }
 
 func TestAxpyNorm2MatchesAxpyThenNorm2(t *testing.T) {
+	// AxpyNorm2 is Axpy followed by FastNorm2, bit for bit, on the one-pass
+	// path and on the rescaled second pass, which trials 1 and 2 reach by
+	// scaling x and y so the squares overflow or underflow.
 	r := rng.New(62)
 	for n := 0; n <= 8*4+7; n++ {
 		for trial := 0; trial < 20; trial++ {
 			x, y, _ := fusedInputs(r, n)
 			a := r.NormFloat64()
-			if trial == 0 {
+			switch trial {
+			case 0:
 				a = 0 // y keeps its entries, signed zeros included
+			case 1, 2:
+				s := 1e-200
+				if trial == 2 {
+					s = 1e200
+				}
+				for i := range x {
+					x[i] = r.NormFloat64() * s
+					y[i] = r.NormFloat64() * s
+				}
 			}
 			want := CopyVec(y)
 			Axpy(a, x, want)
-			wantNorm := Norm2(want)
+			wantNorm := FastNorm2(want)
 			got := AxpyNorm2(a, x, y)
 			sameVecBits(t, "AxpyNorm2 y", y, want)
 			if math.Float64bits(got) != math.Float64bits(wantNorm) {
@@ -76,4 +89,24 @@ func TestAxpyNorm2MatchesAxpyThenNorm2(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestScaleToMatchesScalarLoop(t *testing.T) {
+	r := rng.New(63)
+	for n := 0; n <= 4*3+3; n++ {
+		x, dst, _ := fusedInputs(r, n)
+		a := r.NormFloat64()
+		want := make([]float64, n)
+		for i := range want {
+			want[i] = a * x[i]
+		}
+		ScaleTo(dst, a, x)
+		sameVecBits(t, "ScaleTo", dst, want)
+	}
+	defer func() {
+		if r := recover(); r != "mat: ScaleTo length mismatch" {
+			t.Fatalf("ScaleTo on mismatched lengths panicked with %v", r)
+		}
+	}()
+	ScaleTo(make([]float64, 2), 1, make([]float64, 3))
 }

@@ -14,7 +14,7 @@ import (
 
 // refDeflate and refNormalize are the two-pass deflation the solvers ran
 // before deflate fused it: a dot pass and an axpy pass per component, then
-// a norm pass. deflate must reproduce them bit for bit.
+// a norm pass (mat.FastNorm2). deflate must reproduce them bit for bit.
 func refDeflate(v []float64, comps [][]float64) {
 	for _, c := range comps {
 		mat.Axpy(-mat.Dot(c, v), c, v)
@@ -22,9 +22,18 @@ func refDeflate(v []float64, comps [][]float64) {
 }
 
 func refNormalize(v []float64) {
-	n := mat.Norm2(v)
+	n := mat.FastNorm2(v)
 	if n > 0 {
 		mat.ScaleVec(1/n, v)
+	}
+}
+
+// refScale is the reference loop for x ← G·x/λ: one reciprocal, then a
+// multiply per entry.
+func refScale(x, gx []float64, lambda float64) {
+	r := 1 / lambda
+	for i := range x {
+		x[i] = gx[i] * r
 	}
 }
 
@@ -49,13 +58,11 @@ func refPowerMethod(op dist.Operator, opts PowerOpts) PowerResult {
 			res.Stats.Accumulate(op.Apply(x, gx))
 			res.Iters++
 			refDeflate(gx, found)
-			lambda = mat.Norm2(gx)
+			lambda = mat.FastNorm2(gx)
 			if lambda == 0 {
 				break
 			}
-			for i := range x {
-				x[i] = gx[i] / lambda
-			}
+			refScale(x, gx, lambda)
 			if math.Abs(lambda-prev) <= opts.Tol*lambda {
 				break
 			}
@@ -90,10 +97,8 @@ func refSparsePCA(op dist.Operator, opts SparsePCAOpts) SparsePCAResult {
 			res.Stats.Accumulate(op.Apply(x, gx))
 			res.Iters++
 			refDeflate(gx, found)
-			if n := mat.Norm2(gx); n > 0 {
-				for i := range x {
-					x[i] = gx[i] / n
-				}
+			if n := mat.FastNorm2(gx); n > 0 {
+				refScale(x, gx, n)
 			}
 		}
 		truncate(x, opts.Cardinality)
@@ -105,13 +110,11 @@ func refSparsePCA(op dist.Operator, opts SparsePCAOpts) SparsePCAResult {
 			refDeflate(gx, found)
 			variance = mat.Dot(x, gx)
 			truncate(gx, opts.Cardinality)
-			nrm := mat.Norm2(gx)
+			nrm := mat.FastNorm2(gx)
 			if nrm == 0 {
 				break
 			}
-			for i := range x {
-				x[i] = gx[i] / nrm
-			}
+			refScale(x, gx, nrm)
 			if math.Abs(variance-prev) <= opts.Tol*math.Abs(variance) {
 				break
 			}
@@ -169,7 +172,7 @@ func TestDeflateMatchesTwoPassLoop(t *testing.T) {
 					got, want := mat.CopyVec(c.v), mat.CopyVec(c.v)
 					out := deflate(got, c.comps, w)
 					refDeflate(want, c.comps)
-					wantOut := mat.Norm2(want)
+					wantOut := mat.FastNorm2(want)
 					if w != nil {
 						wantOut = mat.Dot(w, want)
 					}

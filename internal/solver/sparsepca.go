@@ -82,9 +82,7 @@ func SparsePCA(op dist.Operator, opts SparsePCAOpts) SparsePCAResult {
 			res.Stats.Accumulate(st)
 			res.Iters++
 			if n := deflate(gx, found, nil); n > 0 {
-				for i := range x {
-					x[i] = gx[i] / n
-				}
+				mat.ScaleTo(x, 1/n, gx)
 			}
 		}
 		truncate(x, opts.Cardinality)
@@ -100,13 +98,11 @@ func SparsePCA(op dist.Operator, opts SparsePCAOpts) SparsePCAResult {
 			variance = deflate(gx, found, x)
 
 			truncate(gx, opts.Cardinality)
-			nrm := mat.Norm2(gx)
+			nrm := mat.FastNorm2(gx)
 			if nrm == 0 {
 				break
 			}
-			for i := range x {
-				x[i] = gx[i] / nrm
-			}
+			mat.ScaleTo(x, 1/nrm, gx)
 			if math.Abs(variance-prev) <= opts.Tol*math.Abs(variance) {
 				break
 			}

@@ -90,13 +90,11 @@ func SVM(op dist.Operator, labels []float64, opts SVMOpts) SVMResult {
 		st := op.Apply(x, gx)
 		res.Stats.Accumulate(st)
 		res.Iters++
-		lmax = mat.Norm2(gx)
+		lmax = mat.FastNorm2(gx)
 		if lmax == 0 {
 			break
 		}
-		for i := range x {
-			x[i] = gx[i] / lmax
-		}
+		mat.ScaleTo(x, 1/lmax, gx)
 	}
 	if lmax <= 0 {
 		lmax = 1
