@@ -211,14 +211,15 @@ func TestRelErrorMatchesSerialLoop(t *testing.T) {
 	// RelError rebuilds blocks of columns in parallel and adds their terms
 	// serially; at any worker count it must equal the plain loop bit for
 	// bit, since fig4's pinned errors and the ε verdicts rest on it. The
-	// shape spans several blocks with a short last one (M mod 4 = 2, so
-	// the Axpys run their scalar tail too).
+	// shape spans more blocks than the ring holds, so slots are reused,
+	// with a short last one (M mod 4 = 2, so the Axpys run their scalar
+	// tail too).
 	u := testUnion(t, 130, 1200, []int{6, 9}, 12)
 	tr, err := Fit(u.A, Params{L: 90, Epsilon: 0.1, Seed: 27})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if block := relErrorWords / u.A.Rows; u.A.Cols <= 2*block || u.A.Cols%block == 0 {
+	if block := relErrorBlock(u.A.Rows, u.A.Cols); u.A.Cols <= relErrorRing*block || u.A.Cols%block == 0 {
 		t.Fatalf("%d columns in blocks of %d: want several blocks and a short last one", u.A.Cols, block)
 	}
 	want := serialRelError(tr, u.A)
@@ -350,5 +351,65 @@ func BenchmarkFitSalinasSmall(b *testing.B) {
 		if _, err := Fit(u.A, Params{L: 200, Epsilon: 0.1, Seed: 1, Workers: 2}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// blockRelError is RelError as it stood before its sum overlapped the
+// rebuilding: blocks of relErrorWords/M columns, each rebuilt across
+// mat.Workers chunks and then summed by the caller while the pool waits.
+func blockRelError(t *Transform, a *mat.Dense) float64 {
+	m := a.Rows
+	dt := t.D.T()
+	block := max(1, min(a.Cols, relErrorWords/m))
+	dev := make([]float64, block*m)
+	sq := make([]float64, block*m)
+	var num, den float64
+	for j0 := 0; j0 < a.Cols; j0 += block {
+		n := min(block, a.Cols-j0)
+		mat.ParallelChunks(n, mat.Workers, func(_, lo, hi int) {
+			t.errorTerms(a, dt, j0+lo, j0+hi, dev[lo*m:hi*m], sq[lo*m:hi*m])
+		})
+		for k := 0; k < n*m; k++ {
+			num += dev[k]
+			den += sq[k]
+		}
+	}
+	if den == 0 {
+		return 0
+	}
+	return math.Sqrt(num / den)
+}
+
+// relErrorSink keeps the benchmarked errors live.
+var relErrorSink float64
+
+// BenchmarkRelError times the ε check on cancercell-shaped data (M = 128,
+// N = 4096) for a fitted L = 47 transform, at the default worker count,
+// beside the block-by-block loop it replaced.
+func BenchmarkRelError(b *testing.B) {
+	p, err := dataset.Preset("cancercell", 0.25)
+	if err != nil {
+		b.Fatal(err)
+	}
+	u, err := dataset.GenerateUnion(p, rng.New(7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := Fit(u.A, Params{L: 47, Epsilon: 0.1, Workers: mat.Workers, Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if got, want := tr.RelError(u.A), blockRelError(tr, u.A); math.Float64bits(got) != math.Float64bits(want) {
+		b.Fatalf("RelError %v, block loop %v", got, want)
+	}
+	for _, c := range []struct {
+		name string
+		f    func(*Transform, *mat.Dense) float64
+	}{{"pipelined", (*Transform).RelError}, {"blocks", blockRelError}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				relErrorSink = c.f(tr, u.A)
+			}
+		})
 	}
 }

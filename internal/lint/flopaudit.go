@@ -14,8 +14,9 @@ var kernelCalls = map[string]bool{
 	"ParMulVec": true, "ParMulVecT": true, "ParATA": true,
 	"ATA": true, "GramColumns": true,
 	"Dot": true, "Axpy": true, "AxpyDot": true, "AxpyNorm2": true,
-	"AddVec": true, "SubVec": true,
+	"AxpyRowsTo": true, "AddVec": true, "SubVec": true,
 	"ScaleVec": true, "Norm2": true, "SolveInPlace": true,
+	"ForwardNext": true, "BackSolveInPlace": true,
 	"SolveLeastSquares": true, "Factorize": true,
 }
 

@@ -26,7 +26,7 @@ var hotCallNames = map[string]bool{
 // column-coding driver calls Encode once per signal. There are no ranks or
 // collectives in omp, so the batch kernels themselves are the signal.
 var ompHotCallNames = map[string]bool{
-	"Encode": true, "gramRow": true, "Axpy": true, "Dot": true,
+	"Encode": true, "gramRow": true, "Axpy": true, "AxpyRowsTo": true, "Dot": true,
 }
 
 // serveHotCallNames mark internal/serve's hot loop: the batcher's panel
@@ -44,8 +44,9 @@ var serveHotCallNames = map[string]bool{
 //     per operator application — the innermost distributed step), or
 //   - the body of a for/range loop that directly contains a hot call
 //     (.Apply, .AddFlops, .AddBytes, or a collective in dist/solver; the
-//     batch-coding kernels .Encode, .gramRow, .Axpy, .Dot in omp; the
-//     panel-coding calls .Encode, .EncodePanel, .encodeBatch in serve) —
+//     batch-coding kernels .Encode, .gramRow, .Axpy, .AxpyRowsTo, .Dot in
+//     omp; the panel-coding calls .Encode, .EncodePanel, .encodeBatch in
+//     serve) —
 //     "directly" meaning not through a nested loop's body, so an outer
 //     driver loop whose iteration work happens only inside inner loops is
 //     setup, not hot.

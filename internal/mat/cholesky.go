@@ -91,25 +91,52 @@ func (c *Cholesky) Append(col []float64, diag float64) error {
 }
 
 // SolveInPlace solves (L·Lᵀ)·x = b in place: on return b holds x.
-// len(b) must equal Size.
+// len(b) must equal Size. The forward half computes y = L⁻¹·b entry by
+// entry as ForwardNext would, and the backward half is BackSolveInPlace.
 func (c *Cholesky) SolveInPlace(b []float64) {
 	if len(b) != c.n {
 		panic("mat: Cholesky.SolveInPlace length mismatch")
 	}
-	n := c.n
 	// Forward: L·y = b.
-	for i := 0; i < n; i++ {
-		row := c.l[i*c.stride : i*c.stride+i]
-		s := b[i] - dotK(row, b)
-		b[i] = s / c.at(i, i)
+	for i := range b {
+		b[i] = c.forward(i, b[:i], b[i])
 	}
-	// Backward: Lᵀ·x = y.
+	c.BackSolveInPlace(b)
+}
+
+// ForwardNext returns the last entry of y = L⁻¹·b, given the first Size−1
+// entries of y in head and the last entry of b in bn. A caller that grows
+// the factor and b by one entry at a time keeps y across appends and pays
+// O(n) per step, where SolveInPlace's forward half recomputes all of y in
+// O(n²); the entry is the one that forward half computes, bit for bit.
+func (c *Cholesky) ForwardNext(head []float64, bn float64) float64 {
+	if len(head) != c.n-1 {
+		panic("mat: Cholesky.ForwardNext length mismatch")
+	}
+	return c.forward(c.n-1, head, bn)
+}
+
+// forward returns entry i of y = L⁻¹·b from y's first i entries (head) and
+// b's entry i.
+func (c *Cholesky) forward(i int, head []float64, bi float64) float64 {
+	row := c.l[i*c.stride : i*c.stride+i]
+	return (bi - dotK(row, head)) / c.at(i, i)
+}
+
+// BackSolveInPlace solves Lᵀ·x = y in place: on return y holds x. len(y)
+// must equal Size. With y = L⁻¹·b from ForwardNext it completes
+// SolveInPlace's solve of (L·Lᵀ)·x = b.
+func (c *Cholesky) BackSolveInPlace(y []float64) {
+	if len(y) != c.n {
+		panic("mat: Cholesky.BackSolveInPlace length mismatch")
+	}
+	n := c.n
 	for i := n - 1; i >= 0; i-- {
-		s := b[i]
+		s := y[i]
 		for j := i + 1; j < n; j++ {
-			s -= c.at(j, i) * b[j]
+			s -= c.at(j, i) * y[j]
 		}
-		b[i] = s / c.at(i, i)
+		y[i] = s / c.at(i, i)
 	}
 }
 

@@ -148,24 +148,13 @@ func Equal(a, b *Dense, tol float64) bool {
 	return true
 }
 
-// FrobNorm returns the Frobenius norm of m.
+// FrobNorm returns the Frobenius norm of m, by Norm2's scaled recurrence
+// over the rows in storage order.
 func (m *Dense) FrobNorm() float64 {
-	// Scaled accumulation to avoid overflow on large entries.
 	var scale, ssq float64 = 0, 1
 	for i := 0; i < m.Rows; i++ {
 		for _, v := range m.Row(i) {
-			if v == 0 {
-				continue
-			}
-			a := math.Abs(v)
-			if scale < a {
-				r := scale / a
-				ssq = 1 + ssq*r*r
-				scale = a
-			} else {
-				r := a / scale
-				ssq += r * r
-			}
+			scale, ssq = ssqStep(v, scale, ssq)
 		}
 	}
 	return scale * math.Sqrt(ssq)

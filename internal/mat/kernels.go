@@ -192,6 +192,40 @@ func axpyK(a float64, x, y []float64) {
 	}
 }
 
+// axpyRowsK computes dst[t] = x[t] + a[0]·rows[0][t] + … + a[k−1]·rows[k−1][t]
+// for every t, adding each entry's terms left to right in a register: the
+// entries k axpyK passes over dst would leave, in one pass. Four entries
+// are summed at once, so four independent add chains overlap and each
+// row's four loads share one bounds check; eight chains ran no faster, as
+// their accumulators and loads do not fit the registers. Iterates
+// len(dst); x, a's first len(rows) entries and every row must be at least
+// that long.
+func axpyRowsK(dst, x, a []float64, rows [][]float64) {
+	n := len(dst)
+	x, a = x[:n], a[:len(rows)]
+	t := 0
+	for ; t+4 <= n; t += 4 {
+		xv := x[t : t+4 : t+4]
+		s0, s1, s2, s3 := xv[0], xv[1], xv[2], xv[3]
+		for i, r := range rows {
+			ai, rv := a[i], r[t:t+4:t+4]
+			s0 += ai * rv[0]
+			s1 += ai * rv[1]
+			s2 += ai * rv[2]
+			s3 += ai * rv[3]
+		}
+		dv := dst[t : t+4 : t+4]
+		dv[0], dv[1], dv[2], dv[3] = s0, s1, s2, s3
+	}
+	for ; t < n; t++ {
+		s := x[t]
+		for i, r := range rows {
+			s += a[i] * r[t]
+		}
+		dst[t] = s
+	}
+}
+
 // scaleToK computes dst = a*x, 4-wide. Element updates are independent, so
 // this is bit-identical to the scalar loop; at N = 24 576 it took 12–18 µs
 // where the one-at-a-time loop took 28–40 µs on a 2-vCPU Xeon VM. Iterates

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Workers is the default number of chunks the parallel kernels split their
@@ -45,6 +46,81 @@ func ParallelChunks(n, w int, body func(c, lo, hi int)) {
 	}
 	body(0, 0, n/w)
 	wg.Wait()
+}
+
+// Pipeline runs produce(i) for every i in [0, n) on the calling goroutine
+// and up to w−1 pool workers, and consume(i) on the calling goroutine in
+// increasing i, each once produce(i) has returned. Items are claimed one at
+// a time from a shared counter, never ahead or more past the last item
+// consumed, so a caller that keeps item i in slot i mod ahead never has a
+// slot overwritten before it is consumed. While the next item to consume is
+// still being produced, the caller produces later ones itself, or yields.
+// The pool workers are taken once for the whole run, not once per item, so
+// an item may be much shorter than a pool hand-off, and a worker that
+// starts late takes fewer items instead of holding the caller up. What
+// produce(i) computes must not depend on which goroutine runs it. With
+// w ≤ 1 or ahead < 2 it is the serial loop produce(0), consume(0),
+// produce(1), ….
+func Pipeline(n, w, ahead int, produce, consume func(i int)) {
+	if w > n {
+		w = n
+	}
+	if w <= 1 || ahead < 2 {
+		for i := 0; i < n; i++ {
+			produce(i)
+			consume(i)
+		}
+		return
+	}
+	p := &pipeline{n: int64(n), ahead: int64(ahead), produce: produce, done: make([]atomic.Bool, n)}
+	var wg sync.WaitGroup
+	for c := 1; c < w; c++ {
+		wg.Add(1)
+		if !trySubmit(p.work, &wg) {
+			wg.Done() // the pool is busy: run with the helpers it gave
+			break
+		}
+	}
+	for i := 0; i < n; i++ {
+		for !p.done[i].Load() {
+			if !p.claim() {
+				runtime.Gosched()
+			}
+		}
+		consume(i)
+		p.consumed.Store(int64(i + 1))
+	}
+	wg.Wait()
+}
+
+// pipeline is the state Pipeline's goroutines share.
+type pipeline struct {
+	n, ahead       int64
+	next, consumed atomic.Int64 // items claimed; items consumed
+	produce        func(i int)
+	done           []atomic.Bool // done[i]: produce(i) has returned
+}
+
+// claim produces the next unclaimed item if it lies within ahead of the
+// consumer, and reports whether it did.
+func (p *pipeline) claim() bool {
+	i := p.next.Load()
+	if i >= p.n || i >= p.consumed.Load()+p.ahead || !p.next.CompareAndSwap(i, i+1) {
+		return false
+	}
+	p.produce(int(i))
+	p.done[i].Store(true)
+	return true
+}
+
+// work is a pool worker's loop: claim items until every one is claimed,
+// yielding while the consumer is a full window behind.
+func (p *pipeline) work() {
+	for p.next.Load() < p.n {
+		if !p.claim() {
+			runtime.Gosched()
+		}
+	}
 }
 
 // ParMulVec computes y = A·x with output rows split across the worker pool.

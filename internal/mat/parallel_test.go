@@ -2,6 +2,7 @@ package mat
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -182,4 +183,51 @@ func TestParallelChunksNestedDoesNotDeadlock(t *testing.T) {
 			}
 		}
 	})
+}
+
+func TestPipelineConsumesInOrderWithinWindow(t *testing.T) {
+	// Every item is produced once and consumed once, in order, after its
+	// produce returned; no item is produced ahead or more past the last
+	// one consumed, so slot i mod ahead is never overwritten early. Every
+	// third item yields, so the helpers and the caller interleave.
+	defer func(w int) { Workers = w }(Workers)
+	for _, n := range []int{0, 1, 2, 7, 61} {
+		for _, w := range []int{1, 2, 3, 8} {
+			for _, ahead := range []int{1, 2, 3, 8} {
+				slots := make([]int, max(1, ahead))
+				produced := make([]int32, n)
+				var consumed sync.Mutex
+				nConsumed := 0
+				var got []int
+				Pipeline(n, w, ahead, func(i int) {
+					consumed.Lock()
+					if ahead >= 2 && w > 1 && i >= nConsumed+ahead {
+						t.Errorf("n=%d w=%d ahead=%d: item %d produced with %d consumed", n, w, ahead, i, nConsumed)
+					}
+					consumed.Unlock()
+					if i%3 == 0 {
+						runtime.Gosched()
+					}
+					slots[i%len(slots)] = 3 * i
+					produced[i]++
+				}, func(i int) {
+					if produced[i] != 1 {
+						t.Errorf("n=%d w=%d ahead=%d: item %d consumed after %d produces", n, w, ahead, i, produced[i])
+					}
+					got = append(got, slots[i%len(slots)])
+					consumed.Lock()
+					nConsumed++
+					consumed.Unlock()
+				})
+				if len(got) != n {
+					t.Fatalf("n=%d w=%d ahead=%d: %d items consumed", n, w, ahead, len(got))
+				}
+				for i, v := range got {
+					if v != 3*i {
+						t.Fatalf("n=%d w=%d ahead=%d: item %d read %d from its slot, want %d", n, w, ahead, i, v, 3*i)
+					}
+				}
+			}
+		}
+	}
 }

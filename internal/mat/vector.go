@@ -22,9 +22,11 @@ func Norm2(x []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// ssqStep folds v into the scaled sum of squares behind Norm2, whose norm
-// is scale·√ssq: the scale tracks the largest magnitude seen, so no square
-// overflows or underflows.
+// ssqStep folds v into the scaled sum of squares behind Norm2 and
+// Dense.FrobNorm, whose norm is scale·√ssq: the scale tracks the largest
+// magnitude seen, so no square overflows or underflows. A magnitude equal
+// to the scale adds r = 1 without dividing: a/a is exactly 1 for every
+// finite a, and Inf/Inf would be NaN, so a second ±Inf keeps the norm +Inf.
 func ssqStep(v, scale, ssq float64) (float64, float64) {
 	if v == 0 {
 		return scale, ssq
@@ -34,7 +36,10 @@ func ssqStep(v, scale, ssq float64) (float64, float64) {
 		r := scale / a
 		return a, 1 + ssq*r*r
 	}
-	r := a / scale
+	r := 1.0
+	if a != scale {
+		r = a / scale
+	}
 	return scale, ssq + r*r
 }
 
@@ -129,6 +134,25 @@ func NormInf(x []float64) float64 {
 		}
 	}
 	return s
+}
+
+// AxpyRowsTo computes dst = x + a[0]·rows[0] + … + a[k−1]·rows[k−1] in one
+// pass over dst, adding each entry's terms left to right: bit for bit what
+// copy(dst, x) followed by Axpy(a[i], rows[i], dst) for i = 0, …, k−1
+// gives, without reading and writing dst k times. A zero a[i] is applied
+// like any other (0·Inf is NaN), so a caller that skips zero coefficients
+// leaves their rows out. len(a) must equal len(rows), and x and every row
+// must have dst's length.
+func AxpyRowsTo(dst, x, a []float64, rows [][]float64) {
+	if len(x) != len(dst) || len(a) != len(rows) {
+		panic("mat: AxpyRowsTo length mismatch")
+	}
+	for _, r := range rows {
+		if len(r) != len(dst) {
+			panic("mat: AxpyRowsTo length mismatch")
+		}
+	}
+	axpyRowsK(dst, x, a, rows)
 }
 
 // Axpy computes y += alpha*x in place. Lengths must match. The unrolled

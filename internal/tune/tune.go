@@ -19,8 +19,8 @@
 // needs a reliability guard against the subset size. Probing exd.Fit's own
 // draw, rather than nested dictionaries (the first L columns of the
 // permutation, one Gram for every L), keeps the validated codes reusable:
-// TuneAndFit rebuilds only the pick's coder, codes the columns its prefix
-// never saw, and returns exactly exd.Fit(A, L, Seed).
+// TuneAndFit keeps the pick's coder, codes the columns its prefix never
+// saw, and returns exactly exd.Fit(A, L, Seed).
 //
 // Candidates are visited in increasing L. The model's cost is
 // non-decreasing in nnz and increasing in L, so the scan stops at the first
@@ -165,10 +165,13 @@ type Result struct {
 	TuneWall, FitWall time.Duration
 }
 
-// probe is the coding state scan hands to TuneAndFit for the pick:
-// codes[j] holds column j's code against exd.Fit's dictionary for the
-// pick's L for every j in perm[:seen], and no other slot is set.
+// probe is the coding state scan hands to TuneAndFit for the pick: bc
+// codes against exd.Fit's dictionary for the pick's L (drawn as columns
+// idx of A), and codes[j] holds column j's code for every j in
+// perm[:seen], and no other slot is set.
 type probe struct {
+	idx   []int
+	bc    *omp.BatchCoder
 	perm  []int
 	seen  int
 	codes []omp.Result
@@ -270,9 +273,9 @@ func autoGrid(a *mat.Dense, r *rng.RNG, cfg Config) []int {
 // StabilityTol between prefixes or the sizes run out. It fills c's
 // estimates and returns the codes.
 func probeL(a *mat.Dense, l int, perm, sizes []int, cfg Config, c *Candidate) *probe {
-	_, d := exd.Draw(a, l, cfg.Seed)
+	idx, d := exd.Draw(a, l, cfg.Seed)
 	bc := omp.NewBatchCoder(d)
-	pr := &probe{perm: perm, codes: make([]omp.Result, a.Cols)}
+	pr := &probe{idx: idx, bc: bc, perm: perm, codes: make([]omp.Result, a.Cols)}
 	nnz := 0
 	var resid2, norm2, prev float64
 	for round, size := range sizes {
@@ -298,13 +301,12 @@ func probeL(a *mat.Dense, l int, perm, sizes []int, cfg Config, c *Candidate) *p
 	return pr
 }
 
-// finish codes the columns the probe never saw against a rebuilt coder for
-// the same dictionary and assembles the transform exd.Fit(a, p) returns.
+// finish codes the columns the probe never saw with the probe's own coder
+// and assembles the transform exd.Fit(a, p) returns.
 func (pr *probe) finish(a *mat.Dense, p exd.Params) *exd.Transform {
-	idx, d := exd.Draw(a, p.L, p.Seed)
-	omp.NewBatchCoder(d).EncodeColumnsAt(a, pr.perm[pr.seen:], p.Epsilon, 0, p.Workers, pr.codes)
+	pr.bc.EncodeColumnsAt(a, pr.perm[pr.seen:], p.Epsilon, 0, p.Workers, pr.codes)
 	c, iters := omp.Assemble(p.L, pr.codes)
-	return &exd.Transform{D: d, C: c, DictIdx: idx, OMPIters: iters, Params: p}
+	return &exd.Transform{D: pr.bc.D, C: c, DictIdx: pr.idx, OMPIters: iters, Params: p}
 }
 
 // fitOrder is the order in which TuneAndFit tries dictionary sizes on the

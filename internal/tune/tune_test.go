@@ -348,3 +348,24 @@ func TestTuneDeterministic(t *testing.T) {
 		t.Fatal("tuner not deterministic")
 	}
 }
+
+// BenchmarkTuneAndFit times ExtDict's whole preprocessing — the scan, the
+// handover, the rest of the coding and the ε check — on the cancercell
+// preset at a CI-sized scale (N = 2048) for the paper's 8×8 platform,
+// cycling through four seeds.
+func BenchmarkTuneAndFit(b *testing.B) {
+	p, err := dataset.Preset("cancercell", 0.125)
+	if err != nil {
+		b.Fatal(err)
+	}
+	u, err := dataset.GenerateUnion(p, rng.New(7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	plat := cluster.NewPlatform(8, 8)
+	for i := 0; i < b.N; i++ {
+		if _, _, err := TuneAndFit(u.A, plat, Config{Epsilon: 0.1, Workers: mat.Workers, Seed: uint64(1 + i%4)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

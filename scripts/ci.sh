@@ -153,11 +153,11 @@ go -C perfbench vet ./...
 go -C perfbench test -count=1 ./...
 go run ./cmd/extdict-lint ./perfbench/...
 
-echo "== bench smoke (kernel, solver and wire-codec benchmarks must run)"
-# One iteration of every kernel, solver-step and wire-codec microbenchmark:
-# catches benchmarks that panic or no longer compile without paying the
-# full measurement cost.
-go test -run '^$' -bench . -benchtime 1x -count=1 ./internal/mat/ ./internal/omp/ ./internal/dist/ ./internal/sparse/ ./internal/serve/ ./internal/solver/ >/dev/null
+echo "== bench smoke (kernel, coding, preprocessing, solver and wire-codec benchmarks must run)"
+# One iteration of every kernel, coding-loop, ε-check, preprocessing,
+# solver-step and wire-codec microbenchmark: catches benchmarks that panic
+# or no longer compile without paying the full measurement cost.
+go test -run '^$' -bench . -benchtime 1x -count=1 ./internal/mat/ ./internal/omp/ ./internal/exd/ ./internal/tune/ ./internal/dist/ ./internal/sparse/ ./internal/serve/ ./internal/solver/ >/dev/null
 
 echo "== extdict-bench -json (report must be machine-readable)"
 # The JSON baseline pipeline behind BENCH_PR5.json/BENCH_PR10.json: emit a
