@@ -229,7 +229,7 @@ var panelSink []Result
 // first call has stocked the spare list, EncodePanel allocates its results
 // (the output slice and each column's Idx and Coef) plus a fixed few words
 // of fan-out bookkeeping, and no Workspace or Cholesky storage — a fresh
-// workspace alone costs ten allocations and a maxAtoms² factor.
+// workspace alone costs twelve allocations and a maxAtoms² factor.
 func TestEncodePanelWarmAllocs(t *testing.T) {
 	const (
 		b       = 4
@@ -252,7 +252,7 @@ func TestEncodePanelWarmAllocs(t *testing.T) {
 	})
 	// Results take 1 + 2b. The fan-out (closure, borrowed-workspace slice,
 	// WaitGroup, one pool job per chunk beyond the first) takes 4 here; the
-	// bound leaves one spare, well short of one fresh workspace's ten.
+	// bound leaves one spare, well short of one fresh workspace's twelve.
 	if limit := float64(1 + 2*b + 5); allocs > limit {
 		t.Fatalf("warm EncodePanel made %v allocations, want ≤ %v", allocs, limit)
 	}

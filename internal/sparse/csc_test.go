@@ -230,27 +230,6 @@ func TestPadAndShiftRows(t *testing.T) {
 	}
 }
 
-func TestBuilderReserve(t *testing.T) {
-	// Appending what was reserved never regrows the arrays, so a caller
-	// that knows nnz up front allocates C exactly once.
-	b := NewBuilder(3)
-	b.Reserve(3, 3)
-	ptr, idx, val := &b.colPtr[0], &b.rowIdx[:1][0], &b.val[:1][0]
-	b.AppendColumn([]int{2, 0}, []float64{2, 1})
-	b.AppendColumn(nil, nil)
-	b.AppendColumn([]int{1}, []float64{3})
-	if &b.colPtr[0] != ptr || &b.rowIdx[0] != idx || &b.val[0] != val {
-		t.Fatal("appending reserved columns regrew the builder")
-	}
-	m := b.Build()
-	if err := m.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if m.At(2, 0) != 2 || m.At(1, 2) != 3 || m.ColNNZ(1) != 0 {
-		t.Fatal("reserved builder content wrong")
-	}
-}
-
 func TestCheckCatchesCorruption(t *testing.T) {
 	r := rng.New(36)
 	m := randomCSC(r, 6, 6, 0.5)
