@@ -167,14 +167,16 @@ func (m *Dense) ParMulVec(x, y []float64) []float64 {
 	return y
 }
 
-// parMulVecTBufs recycles the per-worker partial vectors of ParMulVecT.
+// parMulVecTBufs recycles ParMulVecT's block partials.
 var parMulVecTBufs = sync.Pool{New: func() any { return new([]float64) }}
 
 // ParMulVecT computes y = Aᵀ·x with input rows split across the worker pool.
-// Semantics match MulVecT. Each chunk accumulates into its own partial
-// buffer and the partials are merged in fixed chunk order, so at a pinned
-// Workers the result is bit-identical run-to-run (and within 1e-12-grade
-// rounding of the serial MulVecT; with Workers <= 1 it IS the serial path).
+// Semantics match MulVecT. The rows are summed in fixed blocks of
+// parallelThreshold (the last may be shorter), each block into its own
+// partial with the serial kernel, and the partials are added in block
+// order. The blocks depend only on the row count, so the result is the
+// same bits at every worker count, 1 included. A matrix with fewer rows
+// than one block takes MulVecT.
 func (m *Dense) ParMulVecT(x, y []float64) []float64 {
 	if len(x) != m.Rows {
 		panic("mat: ParMulVecT dimension mismatch")
@@ -185,30 +187,28 @@ func (m *Dense) ParMulVecT(x, y []float64) []float64 {
 	if len(y) != m.Cols {
 		panic("mat: ParMulVecT output length mismatch")
 	}
-	w := Workers
-	if w > m.Rows {
-		w = m.Rows
-	}
-	if w <= 1 || m.Rows < parallelThreshold {
+	if m.Rows < parallelThreshold {
 		return m.MulVecT(x, y)
 	}
-	partials := make([][]float64, w)
-	ParallelChunks(m.Rows, w, func(c, lo, hi int) {
-		bp := parMulVecTBufs.Get().(*[]float64)
-		buf := *bp
-		if cap(buf) < m.Cols {
-			buf = make([]float64, m.Cols)
+	blocks := (m.Rows + parallelThreshold - 1) / parallelThreshold
+	bp := parMulVecTBufs.Get().(*[]float64)
+	if cap(*bp) < blocks*m.Cols {
+		*bp = make([]float64, blocks*m.Cols)
+	}
+	partials := (*bp)[:blocks*m.Cols]
+	ParallelChunks(blocks, Workers, func(_, b0, b1 int) {
+		for b := b0; b < b1; b++ {
+			lo, hi := b*parallelThreshold, min((b+1)*parallelThreshold, m.Rows)
+			p := partials[b*m.Cols : (b+1)*m.Cols]
+			Zero(p)
+			mulVecTRows(m, x[lo:hi], p, lo, hi)
 		}
-		buf = buf[:m.Cols]
-		Zero(buf)
-		mulVecTRows(m, x[lo:hi], buf, lo, hi)
-		partials[c] = buf
 	})
 	Zero(y)
-	for _, p := range partials {
-		AddVec(y, y, p)
-		parMulVecTBufs.Put(&p)
+	for b := 0; b < blocks; b++ {
+		AddVec(y, y, partials[b*m.Cols:(b+1)*m.Cols])
 	}
+	parMulVecTBufs.Put(bp)
 	return y
 }
 

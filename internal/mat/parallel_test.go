@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -46,41 +47,45 @@ func TestParallelChunksCoversExactlyOnce(t *testing.T) {
 	}
 }
 
+// refParMulVecT is ParMulVecT's definition written serially: at least
+// parallelThreshold rows are summed in blocks of parallelThreshold rows,
+// each block into its own partial with MulVecT, and the partials are added
+// in block order; fewer rows are MulVecT.
+func refParMulVecT(m *Dense, x []float64) []float64 {
+	if m.Rows < parallelThreshold {
+		return m.MulVecT(x, nil)
+	}
+	y := make([]float64, m.Cols)
+	for lo := 0; lo < m.Rows; lo += parallelThreshold {
+		hi := min(lo+parallelThreshold, m.Rows)
+		blk := &Dense{Rows: hi - lo, Cols: m.Cols, Stride: m.Stride, Data: m.Data[lo*m.Stride:]}
+		p := blk.MulVecT(x[lo:hi], nil)
+		for j := range y {
+			y[j] += p[j]
+		}
+	}
+	return y
+}
+
 func TestParMulVecTMatchesSerial(t *testing.T) {
-	r := rng.New(11)
-	a := randomDense(r, 400, 37)
-	x := make([]float64, 400)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	want := a.MulVecT(x, nil)
-
+	// ParMulVecT's blocks do not follow Workers, so every worker count, 1
+	// included, gives the serial block fold bit for bit. 813 rows are three
+	// full blocks and a short last one; 255 rows take MulVecT. Plain
+	// normals make a reordered merge show in the last bits.
 	defer func(w int) { Workers = w }(Workers)
-
-	// Workers=1 takes the serial path: bit-exact.
-	Workers = 1
-	got := a.ParMulVecT(x, nil)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Workers=1 not bit-exact at %d: %v vs %v", i, got[i], want[i])
-		}
-	}
-
-	// Workers>1 merges per-chunk partials: equal within reassociation noise,
-	// and bit-identical run-to-run at a pinned worker count.
-	for _, w := range []int{2, 3, 7} {
-		Workers = w
-		first := a.ParMulVecT(x, nil)
-		for i := range want {
-			if math.Abs(first[i]-want[i]) > 1e-12 {
-				t.Fatalf("Workers=%d differs from serial at %d: %v vs %v", w, i, first[i], want[i])
-			}
-		}
-		for rep := 0; rep < 5; rep++ {
-			again := a.ParMulVecT(x, nil)
-			for i := range first {
-				if again[i] != first[i] {
-					t.Fatalf("Workers=%d not deterministic at %d (rep %d)", w, i, rep)
+	r := rng.New(11)
+	for _, specials := range []bool{false, true} {
+		for _, rows := range []int{255, 256, 813} {
+			for _, m := range pinMatrices(r, rows, 37, specials) {
+				x := make([]float64, rows)
+				pinFill(r, x, specials)
+				want := refParMulVecT(m, x)
+				for _, w := range []int{1, 2, 3, 7} {
+					Workers = w
+					y := make([]float64, m.Cols)
+					pinFill(r, y, true) // outputs start out holding garbage
+					sameBits(t, fmt.Sprintf("%dx%d stride %d specials=%v workers=%d: ParMulVecT", rows, m.Cols, m.Stride, specials, w),
+						m.ParMulVecT(x, y), want)
 				}
 			}
 		}
