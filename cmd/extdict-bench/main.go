@@ -1,30 +1,24 @@
 // Command extdict-bench regenerates the paper's evaluation artifacts (every
-// table and figure of §VIII) and prints them as text tables, or — with
-// -json — emits a machine-readable benchmark baseline combining kernel
-// microbenchmark timings with the experiments' reported metrics.
+// table and figure of §VIII) and prints them as text tables.
 //
 // Usage:
 //
 //	extdict-bench -exp fig7              # one experiment
 //	extdict-bench -exp all -scale 0.5    # everything, half-size datasets
-//	extdict-bench -json -exp fig4,fig7,tab2 -scale 0.5 > BENCH_PR6.json
 //
-// Experiments: fig4 fig5 fig6 tab2 fig7 tab3 fig8 fig9 fig10 fig11 fig12
-// serve (the batch-coalescing encode server under concurrent load).
+// Experiments: fig4 fig5 fig6 tab2 fig7 tab3 fig8 fig9 fig10 fig11 fig12.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"time"
 
+	"extdict/internal/experiments"
 	"extdict/internal/perf"
 )
 
@@ -35,65 +29,31 @@ func main() {
 	}
 }
 
-// jsonReport is the -json output schema. Kernel timings and experiment
-// metrics together form a benchmark baseline: commit one, re-run after a
-// kernel change, and diff — ns/op may only improve, metrics must not move.
-type jsonReport struct {
-	Schema      string           `json:"schema"`
-	Scale       float64          `json:"scale"`
-	Seed        uint64           `json:"seed"`
-	Workers     int              `json:"workers"`
-	Kernels     []kernelTiming   `json:"kernels"`
-	Experiments []jsonExperiment `json:"experiments"`
-}
-
-type jsonExperiment struct {
-	ID     string  `json:"id"`
-	WallMS float64 `json:"wall_ms"`
-	// HeapPeakBytes is the experiment's measured HeapAlloc high-water
-	// (collection is paused around the run, so the heap grows monotonically
-	// and the final HeapAlloc is the true peak). The analytic counterpart
-	// sits in Metrics: tab2 reports the Eq. 4 per-rank prediction
-	// (resident_bytes_*), fig7 the runtime-counted per-rank resident sets
-	// (resident_ata_*/resident_exd_*).
-	HeapPeakBytes uint64             `json:"heap_peak_bytes"`
-	Metrics       map[string]float64 `json:"metrics"`
-}
-
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("extdict-bench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment id (fig4..fig12, tab2, tab3, serve) or 'all'")
+	exp := fs.String("exp", "all", "experiment id (fig4..fig12, tab2, tab3) or 'all'")
 	scale := fs.Float64("scale", 1, "dataset size multiplier (1 = paper-shaped laptop scale)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	workers := fs.Int("workers", 0, "preprocessing workers (0 = GOMAXPROCS)")
 	trials := fs.Int("trials", 10, "random-dictionary trials for fig4")
 	components := fs.Int("components", 10, "eigenvalues for fig10/fig12")
-	asJSON := fs.Bool("json", false, "emit kernel timings and experiment metrics as JSON instead of tables")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	reg := registry(*trials, *components)
-	var ids []string
-	if *exp == "all" {
-		for id := range reg {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-	} else {
-		for _, id := range strings.Split(*exp, ",") {
-			id = strings.TrimSpace(id)
-			if _, ok := reg[id]; !ok {
-				return fmt.Errorf("unknown experiment %q (have: %s)", id, strings.Join(keys(reg), ", "))
+	ids := keys(reg)
+	if *exp != "all" {
+		ids = strings.Split(*exp, ",")
+		for i, id := range ids {
+			ids[i] = strings.TrimSpace(id)
+			if _, ok := reg[ids[i]]; !ok {
+				return fmt.Errorf("unknown experiment %q (have: %s)", ids[i], strings.Join(keys(reg), ", "))
 			}
-			ids = append(ids, id)
 		}
 	}
 
-	cfg := benchConfig{Scale: *scale, Seed: *seed, Workers: *workers}
-	if *asJSON {
-		return runJSON(w, reg, ids, cfg)
-	}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed, Workers: *workers}
 	for _, id := range ids {
 		sw := perf.StartWall()
 		art, err := reg[id](cfg)
@@ -106,66 +66,7 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// runJSON times the kernel microbenchmarks, runs the selected experiments,
-// and writes the combined baseline report.
-func runJSON(w io.Writer, reg map[string]runner, ids []string, cfg benchConfig) error {
-	rep := jsonReport{
-		Schema:  "extdict-bench/v1",
-		Scale:   cfg.Scale,
-		Seed:    cfg.Seed,
-		Workers: cfg.Workers,
-		Kernels: kernelBaselines(cfg.Seed),
-	}
-	for _, id := range ids {
-		sw := perf.StartWall()
-		hw := startHeapWatch()
-		art, err := reg[id](cfg)
-		peak := hw.stop()
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		rep.Experiments = append(rep.Experiments, jsonExperiment{
-			ID:            id,
-			WallMS:        float64(sw.Elapsed().Nanoseconds()) / 1e6,
-			HeapPeakBytes: peak,
-			Metrics:       art.Metrics,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// heapWatch measures one experiment's HeapAlloc high-water mark. The
-// collector is paused for the duration, so HeapAlloc grows monotonically
-// and the final reading is the true peak — no sampling goroutine needed.
-// The laptop-scale experiments allocate modestly (the hot paths are
-// allocation-free by lint), so running one uncollected is safe.
-type heapWatch struct {
-	base   uint64
-	prevGC int
-}
-
-func startHeapWatch() heapWatch {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return heapWatch{base: ms.HeapAlloc, prevGC: debug.SetGCPercent(-1)}
-}
-
-// stop reads the peak, restores collection, and returns the experiment's
-// net high-water over its starting heap.
-func (h heapWatch) stop() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	debug.SetGCPercent(h.prevGC)
-	runtime.GC()
-	if ms.HeapAlloc <= h.base {
-		return 0
-	}
-	return ms.HeapAlloc - h.base
-}
-
+// keys returns the registry's experiment ids in sorted order.
 func keys(m map[string]runner) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {

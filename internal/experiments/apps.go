@@ -161,7 +161,8 @@ type solveOutcome struct {
 }
 
 // solveExtDict fits ExD (tuned for the platform), then runs gradient
-// descent to convergence on the transformed operator. The returned time
+// descent on the transformed operator for at most maxIters iterations (on
+// fig9's cells it stops at that cap without meeting Tol). The returned time
 // covers the iterations only; preprocessing is the amortized one-time cost
 // reported by Table II.
 func (p *appProblem) solveExtDict(plat cluster.Platform, eps float64, cfg Config, maxIters int) (solveOutcome, error) {

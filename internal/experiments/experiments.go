@@ -2,8 +2,8 @@
 // paper's evaluation (§VIII). Each driver generates its workload from the
 // dataset presets, runs the relevant pipeline on the simulated platforms,
 // and returns a typed result with a Table() renderer that prints the same
-// rows/series the paper reports. The cmd/extdict-bench binary and the
-// repository's bench_test.go both call these drivers.
+// rows/series the paper reports. The cmd/extdict-bench binary is their one
+// runner; its metrics golden pins every deterministic number they return.
 package experiments
 
 import (

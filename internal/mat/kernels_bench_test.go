@@ -10,7 +10,7 @@ import (
 // Scalar reference kernels: the pre-optimization single-accumulator loops.
 // Benchmarked alongside the blocked kernels in the same binary and the same
 // process, they give a machine-drift-free speedup ratio — the before/after
-// numbers in DESIGN.md and BENCH_PR5.json come from these pairs.
+// numbers in DESIGN.md come from these pairs.
 
 func refMulVec(m *Dense, x, y []float64) {
 	for i := 0; i < m.Rows; i++ {

@@ -4,8 +4,9 @@
 // against a serial reference encode of the same signal — proving that
 // request coalescing changes only throughput and latency, never a single
 // coefficient. The harness reports a latency histogram (p50/p99) and the
-// achieved batch-size distribution from the server's statsz counters, which
-// is what the committed BENCH_PR9.json artifact captures.
+// achieved batch-size distribution from the server's statsz counters;
+// perfbench's serve workload repeats one Run per operation and reports
+// them.
 //
 // The client encodes requests and decodes responses with encoding/json on
 // purpose, not with the server's wire codec: an independent codec is what

@@ -159,11 +159,6 @@ echo "== bench smoke (kernel, coding, preprocessing, solver and wire-codec bench
 # or no longer compile without paying the full measurement cost.
 go test -run '^$' -bench . -benchtime 1x -count=1 ./internal/mat/ ./internal/omp/ ./internal/exd/ ./internal/tune/ ./internal/dist/ ./internal/sparse/ ./internal/serve/ ./internal/solver/ >/dev/null
 
-echo "== extdict-bench -json (report must be machine-readable)"
-# The JSON baseline pipeline behind BENCH_PR5.json/BENCH_PR10.json: emit a
-# tiny-scale report and re-parse it with the Go decoder the tests use.
-go test -run 'TestJSONOutputParses' -count=1 ./cmd/extdict-bench/ >/dev/null
-
 echo "== serve smoke (binary round-trip and clean shutdown)"
 # The serving binary end to end: load a generated dictionary, bind a free
 # loopback port, answer a health probe and one encode round-trip, then
