@@ -1,18 +1,18 @@
-// Command extdict-serve is ExtDict-as-a-service: it loads one or more
-// dictionaries at startup and serves encode/denoise traffic over HTTP,
-// coding whatever requests are queued as one Batch-OMP panel the moment the
-// coder is free, and admission-controlling them with the paper's Eq. 2
-// performance model.
+// Command extdict-serve is ExtDict-as-a-service: it loads the dictionaries
+// of one or more transforms written by `extdict fit -out` and serves
+// encode/denoise traffic over HTTP, coding whatever requests are queued as
+// one Batch-OMP panel the moment the coder is free, and admission-
+// controlling them with the paper's Eq. 2 performance model.
 //
-//	extdict-serve -dict D.edm
-//	extdict-serve -dict salinas=D1.edm -dict pavia=D2.csv -addr :8347 \
+//	extdict-serve -dict m.exd
+//	extdict-serve -dict salinas=m1.exd -dict pavia=m2.exd -addr :8347 \
 //	    -batch-max 32 -latency-budget 50ms
 //
 // Endpoints:
 //
 //	POST /v1/encode   {"dict":"salinas","signal":[...]} → sparse code
 //	POST /v1/denoise  same body → reconstruction D·γ
-//	POST /v1/reloadz?dict=salinas&format=edm  (matrix body) → hot swap
+//	POST /v1/reloadz?dict=salinas  (transform body) → hot swap
 //	GET  /v1/healthz  liveness + served dictionary names
 //	GET  /v1/statsz   batching / admission / pool counters
 //
@@ -21,6 +21,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -30,7 +31,6 @@ import (
 
 	"extdict/internal/cluster"
 	"extdict/internal/mat"
-	"extdict/internal/matio"
 	"extdict/internal/serve"
 )
 
@@ -60,7 +60,7 @@ func (d *dictFlag) Set(v string) error {
 func run(args []string) error {
 	fs := flag.NewFlagSet("extdict-serve", flag.ContinueOnError)
 	var dicts dictFlag
-	fs.Var(&dicts, "dict", "dictionary to serve, as name=path or path (.csv or .edm); repeatable, required")
+	fs.Var(&dicts, "dict", "transform whose dictionary to serve (written by extdict fit -out), as name=path or path; repeatable, required")
 	addr := fs.String("addr", ":8347", "listen address")
 	batchMax := fs.Int("batch-max", 32, "max queued signals coded per panel")
 	queueCap := fs.Int("queue-cap", 256, "per-dictionary queued-request bound")
@@ -90,11 +90,12 @@ func run(args []string) error {
 		if _, dup := loaded[name]; dup {
 			return fmt.Errorf("duplicate dictionary name %q", name)
 		}
-		d, err := matio.Load(path)
+		body, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		if err := serve.NormalizeDict(d); err != nil {
+		d, err := serve.ReadDict(bytes.NewReader(body))
+		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 		loaded[name] = d

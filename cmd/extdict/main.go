@@ -6,15 +6,18 @@
 //
 //	extdict gen   -preset salinas -out data.edm          # synthesize a dataset
 //	extdict tune  -in data.edm -eps 0.1 -nodes 8 -cores 8
-//	extdict fit   -in data.edm -eps 0.1 -L 200
-//	extdict power -in data.edm -eps 0.1 -k 10 -nodes 2 -cores 8
+//	extdict fit   -in data.edm -eps 0.1 -nodes 2 -cores 8 -out m.exd
+//	extdict power -model m.exd -k 10 -nodes 2 -cores 8
 //	extdict power -in data.edm -raw -k 10                # untransformed baseline
-//	extdict lasso -in data.edm -y obs.csv -lambda 0.05
-//	extdict lasso -in data.edm -y obs.csv -faults 7          # chaos-mode solve with recovery
-//	extdict cluster -in data.edm -k 3
+//	extdict lasso -in data.edm -model m.exd -y obs.csv -lambda 0.05
+//	extdict lasso -in data.edm -raw -y obs.csv -faults 7     # chaos-mode solve with recovery
+//	extdict cluster -model m.exd -k 3
 //
 // Matrices are CSV (.csv) or the EDM binary format (.edm); columns are
 // signals. Data is column-normalized automatically before transforming.
+// fit pays the preprocessing once and writes the whole transform (D, C and
+// the fit parameters) with -out; power, lasso and cluster read it back with
+// -model, as extdict-serve does with -dict.
 package main
 
 import (
@@ -25,9 +28,9 @@ import (
 	"strings"
 	"time"
 
+	"extdict"
 	"extdict/internal/cluster"
 	"extdict/internal/dataset"
-	"extdict/internal/exd"
 	"extdict/internal/mat"
 	"extdict/internal/matio"
 	"extdict/internal/perf"
@@ -106,7 +109,11 @@ func platformFlags(fs *flag.FlagSet) (nodes, cores *int) {
 		fs.Int("cores", 4, "target platform: cores per node")
 }
 
+// loadNormalized reads the -in data matrix and normalizes its columns.
 func loadNormalized(path string) (*mat.Dense, error) {
+	if path == "" {
+		return nil, fmt.Errorf("-in is required")
+	}
 	m, err := matio.Load(path)
 	if err != nil {
 		return nil, err
@@ -124,9 +131,6 @@ func cmdTune(args []string) error {
 	nodes, cores := platformFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *in == "" {
-		return fmt.Errorf("tune: -in is required")
 	}
 	obj, err := parseObjective(*objective)
 	if err != nil {
@@ -181,66 +185,51 @@ func cmdFit(args []string) error {
 	eps := fs.Float64("eps", 0.1, "transformation error tolerance")
 	l := fs.Int("L", 0, "dictionary size (0 = tune automatically)")
 	seed := fs.Uint64("seed", 1, "random seed")
-	outD := fs.String("outD", "", "optional path to write the dictionary D")
+	out := fs.String("out", "", "optional path to write the transform, for -model and extdict-serve -dict")
 	nodes, cores := platformFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *in == "" {
-		return fmt.Errorf("fit: -in is required")
 	}
 	a, err := loadNormalized(*in)
 	if err != nil {
 		return err
 	}
-	plat := cluster.NewPlatform(*nodes, *cores)
 	sw := perf.StartWall()
-	var tr *exd.Transform
-	if *l > 0 {
-		tr, err = exd.Fit(a, exd.Params{L: *l, Epsilon: *eps, Workers: runtime.GOMAXPROCS(0), Seed: *seed})
-	} else {
-		tr, _, err = tune.TuneAndFit(a, plat, tune.Config{
-			Epsilon: *eps, Workers: runtime.GOMAXPROCS(0), Seed: *seed,
-		})
-	}
+	model, err := extdict.Fit(a, cluster.NewPlatform(*nodes, *cores), extdict.Options{
+		Epsilon: *eps, L: *l, Workers: runtime.GOMAXPROCS(0), Seed: *seed,
+	})
 	if err != nil {
 		return err
 	}
-	elapsed := sw.Elapsed()
 	fmt.Printf("fitted in %v: L=%d nnz(C)=%d alpha=%.3f achieved-error=%.4f memory=%d words (raw %d)\n",
-		elapsed.Round(time.Millisecond), tr.L(), tr.C.NNZ(), tr.Alpha(),
-		tr.RelError(a), tr.MemoryWords(), a.Rows*a.Cols)
-	if *outD != "" {
-		if err := matio.Save(*outD, tr.D); err != nil {
+		sw.Elapsed().Round(time.Millisecond), model.L(), model.NNZ(), model.Alpha(),
+		model.RelError(a), model.MemoryWords(), a.Rows*a.Cols)
+	if *out != "" {
+		if err := model.Save(*out); err != nil {
 			return err
 		}
-		fmt.Printf("wrote dictionary to %s\n", *outD)
+		fmt.Printf("wrote transform to %s\n", *out)
 	}
 	return nil
 }
 
 func cmdPower(args []string) error {
 	fs := flag.NewFlagSet("power", flag.ContinueOnError)
-	in := fs.String("in", "", "input matrix (.csv or .edm); required")
-	eps := fs.Float64("eps", 0.1, "transformation error tolerance")
+	in, model, raw := operandFlags(fs)
 	k := fs.Int("k", 10, "number of eigenvalues")
-	raw := fs.Bool("raw", false, "iterate on the untransformed AᵀA baseline")
 	seed := fs.Uint64("seed", 1, "random seed")
 	faults := fs.Uint64("faults", 0, "inject a deterministic fault schedule drawn from this seed and recover through the supervisor (0 = off)")
 	nodes, cores := platformFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *in == "" {
-		return fmt.Errorf("power: -in is required")
-	}
-	a, err := loadNormalized(*in)
+	a, err := rawData(*in, *raw)
 	if err != nil {
 		return err
 	}
 	plat := cluster.NewPlatform(*nodes, *cores)
 
-	build, err := buildOperatorOn(a, plat, opSpec{eps: *eps, raw: *raw, seed: *seed})
+	build, err := buildOperatorOn(a, opSpec{model: *model, raw: *raw, seed: *seed})
 	if err != nil {
 		return err
 	}

@@ -1,29 +1,28 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
-	"runtime"
+	"os"
 	"time"
 
 	"extdict/internal/cluster"
 	"extdict/internal/dist"
+	"extdict/internal/exd"
 	"extdict/internal/mat"
 	"extdict/internal/matio"
 	"extdict/internal/perf"
 	"extdict/internal/solver"
-	"extdict/internal/tune"
 )
 
 // cmdLasso solves min ‖A·x - y‖² + λ‖x‖₁ on raw, transformed, or SGD
 // operators and reports solution statistics.
 func cmdLasso(args []string) error {
 	fs := flag.NewFlagSet("lasso", flag.ContinueOnError)
-	in := fs.String("in", "", "data matrix (.csv or .edm); required")
+	in, model, raw := operandFlags(fs)
 	yPath := fs.String("y", "", "observation vector file (single CSV column); required")
 	lambda := fs.Float64("lambda", 0, "ℓ₁ weight (0 = 0.05·‖Aᵀy‖∞)")
-	eps := fs.Float64("eps", 0.1, "transformation error tolerance")
-	raw := fs.Bool("raw", false, "iterate on the untransformed AᵀA baseline")
 	sgd := fs.Int("sgd", 0, "use the SGD baseline with this batch size")
 	iters := fs.Int("iters", 500, "maximum iterations")
 	seed := fs.Uint64("seed", 1, "random seed")
@@ -33,8 +32,8 @@ func cmdLasso(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *in == "" || *yPath == "" {
-		return fmt.Errorf("lasso: -in and -y are required")
+	if *yPath == "" {
+		return fmt.Errorf("lasso: -y is required")
 	}
 	a, err := loadNormalized(*in)
 	if err != nil {
@@ -46,7 +45,7 @@ func cmdLasso(args []string) error {
 	}
 	plat := cluster.NewPlatform(*nodes, *cores)
 
-	build, err := buildOperatorOn(a, plat, opSpec{eps: *eps, raw: *raw, sgdBatch: *sgd, seed: *seed})
+	build, err := buildOperatorOn(a, opSpec{model: *model, raw: *raw, sgdBatch: *sgd, seed: *seed})
 	if err != nil {
 		return err
 	}
@@ -95,24 +94,19 @@ func cmdLasso(args []string) error {
 // cmdCluster runs spectral partitioning of the data columns.
 func cmdCluster(args []string) error {
 	fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
-	in := fs.String("in", "", "data matrix (.csv or .edm); required")
+	in, model, raw := operandFlags(fs)
 	k := fs.Int("k", 2, "number of clusters")
-	eps := fs.Float64("eps", 0.1, "transformation error tolerance")
-	raw := fs.Bool("raw", false, "iterate on the untransformed AᵀA baseline")
 	seed := fs.Uint64("seed", 1, "random seed")
 	nodes, cores := platformFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *in == "" {
-		return fmt.Errorf("cluster: -in is required")
-	}
-	a, err := loadNormalized(*in)
+	a, err := rawData(*in, *raw)
 	if err != nil {
 		return err
 	}
 	plat := cluster.NewPlatform(*nodes, *cores)
-	op, err := buildOperator(a, plat, opSpec{eps: *eps, raw: *raw, seed: *seed})
+	op, err := buildOperator(a, plat, opSpec{model: *model, raw: *raw, seed: *seed})
 	if err != nil {
 		return err
 	}
@@ -128,51 +122,74 @@ func cmdCluster(args []string) error {
 	return nil
 }
 
+// operandFlags registers what power, lasso and cluster iterate on: the
+// transform written by fit -out, or a baseline on the -in data.
+func operandFlags(fs *flag.FlagSet) (in, model *string, raw *bool) {
+	return fs.String("in", "", "data matrix (.csv or .edm); read by -raw, and by lasso always"),
+		fs.String("model", "", "transform written by fit -out; required unless a baseline is chosen"),
+		fs.Bool("raw", false, "iterate on the untransformed AᵀA baseline of -in")
+}
+
+// rawData loads the -in data when the solve runs on the AᵀA baseline; the
+// transformed solve reads all it needs from -model.
+func rawData(in string, raw bool) (*mat.Dense, error) {
+	if !raw {
+		return nil, nil
+	}
+	return loadNormalized(in)
+}
+
 // opSpec collects the operator-selection knobs shared by the solver
-// subcommands: the raw/SGD baseline switches and the ExD tolerance.
+// subcommands: the transform file and the raw/SGD baseline switches.
 type opSpec struct {
-	eps      float64
+	model    string
 	raw      bool
 	sgdBatch int
 	seed     uint64
 }
 
-// buildOperatorOn assembles a factory for the requested Gram operator over
-// a. The factory constructs the operator on any communicator, which is what
-// lets the fault supervisor rebuild it on the shrunk survivor communicator
-// after a crash; the expensive tune-and-fit preprocessing runs once, up
-// front, and the factory only re-partitions.
-func buildOperatorOn(a *mat.Dense, plat cluster.Platform, spec opSpec) (func(*cluster.Comm) dist.Operator, error) {
+// buildOperatorOn assembles a factory for the requested Gram operator: a
+// baseline over a, or (DC)ᵀDC over the transform in spec.model. The factory
+// constructs the operator on any communicator, which is what lets the
+// fault supervisor rebuild it on the shrunk survivor communicator after a
+// crash; the transform is read once, up front, and the factory only
+// re-partitions.
+func buildOperatorOn(a *mat.Dense, spec opSpec) (func(*cluster.Comm) dist.Operator, error) {
+	if spec.model != "" && (spec.raw || spec.sgdBatch > 0) {
+		return nil, fmt.Errorf("-model cannot be combined with -raw or -sgd")
+	}
 	switch {
 	case spec.raw:
 		return func(c *cluster.Comm) dist.Operator { return dist.NewDenseGram(c, a) }, nil
 	case spec.sgdBatch > 0:
 		return func(c *cluster.Comm) dist.Operator { return dist.NewBatchGram(c, a, spec.sgdBatch, spec.seed) }, nil
+	case spec.model == "":
+		return nil, fmt.Errorf("-model (a transform written by fit -out) or -raw is required")
 	}
-	tr, _, err := tune.TuneAndFit(a, plat, tune.Config{
-		Epsilon: spec.eps, Workers: runtime.GOMAXPROCS(0), Seed: spec.seed,
-	})
+	body, err := os.ReadFile(spec.model)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("preprocessed: L=%d alpha=%.3f\n", tr.L(), tr.Alpha())
-	// Validate the shapes once so the factory cannot fail later.
-	if _, err := dist.NewExDGram(cluster.NewComm(plat), tr.D, tr.C); err != nil {
-		return nil, err
+	tr, err := exd.ReadTransform(bytes.NewReader(body))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", spec.model, err)
+	}
+	if a != nil && a.Cols != tr.N() {
+		return nil, fmt.Errorf("%s codes %d columns but -in has %d", spec.model, tr.N(), a.Cols)
 	}
 	return func(c *cluster.Comm) dist.Operator {
 		g, err := dist.NewExDGram(c, tr.D, tr.C)
 		if err != nil {
-			panic(err) // unreachable: shapes validated above
+			panic(err) // unreachable: ReadTransform checks that D has a column per row of C
 		}
 		return g
 	}, nil
 }
 
-// buildOperator assembles the requested Gram operator over a on a fresh
+// buildOperator assembles the requested Gram operator on a fresh
 // communicator for the given platform.
 func buildOperator(a *mat.Dense, plat cluster.Platform, spec opSpec) (dist.Operator, error) {
-	build, err := buildOperatorOn(a, plat, spec)
+	build, err := buildOperatorOn(a, spec)
 	if err != nil {
 		return nil, err
 	}

@@ -92,7 +92,10 @@ func (t *Transform) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadTransform deserializes a transform written by WriteTo, validating
-// structural invariants before returning it.
+// structural invariants before returning it. Each section grows as its
+// bytes arrive, so a header that claims more than the input holds costs no
+// more memory than the input itself. Bytes after the transform are an
+// error: the input is one transform.
 func ReadTransform(r io.Reader) (*Transform, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(transformMagic))
@@ -102,83 +105,81 @@ func ReadTransform(r io.Reader) (*Transform, error) {
 	if string(magic) != transformMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrBadTransformFile, magic)
 	}
-	read := func(v any) error {
-		if err := binary.Read(br, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("%w: %v", ErrBadTransformFile, err)
-		}
-		return nil
-	}
-	hdr := make([]int64, 8)
-	if err := read(hdr); err != nil {
+	toInt := func(u uint64) int { return int(int64(u)) }
+	hdr, err := readWords(br, 8, toInt)
+	if err != nil {
 		return nil, err
 	}
-	dRows, dCols := int(hdr[0]), int(hdr[1])
-	cRows, cCols, nnz := int(hdr[2]), int(hdr[3]), int(hdr[4])
+	dRows, dCols := hdr[0], hdr[1]
+	cRows, cCols, nnz := hdr[2], hdr[3], hdr[4]
 	if dRows <= 0 || dCols <= 0 || cRows != dCols || cCols <= 0 || nnz < 0 {
 		return nil, fmt.Errorf("%w: inconsistent header %v", ErrBadTransformFile, hdr)
 	}
+	// The cap keeps dRows·dCols and cCols+1 far from overflowing int.
 	const maxDim = 1 << 28
 	if dRows > maxDim || dCols > maxDim || cCols > maxDim || nnz > maxDim {
 		return nil, fmt.Errorf("%w: implausible sizes %v", ErrBadTransformFile, hdr)
 	}
-	var epsBits, seed uint64
-	if err := read(&epsBits); err != nil {
+	epsSeed, err := readWords(br, 2, func(u uint64) uint64 { return u })
+	if err != nil {
 		return nil, err
 	}
-	if err := read(&seed); err != nil {
+	d, err := readWords(br, dRows*dCols, math.Float64frombits)
+	if err != nil {
 		return nil, err
+	}
+	colPtr, err := readWords(br, cCols+1, toInt)
+	if err != nil {
+		return nil, err
+	}
+	rowIdx, err := readWords(br, nnz, toInt)
+	if err != nil {
+		return nil, err
+	}
+	val, err := readWords(br, nnz, math.Float64frombits)
+	if err != nil {
+		return nil, err
+	}
+	dictIdx, err := readWords(br, dCols, toInt)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := br.ReadByte(); err == nil {
+		return nil, fmt.Errorf("%w: bytes after the transform", ErrBadTransformFile)
+	} else if !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("%w: %v", ErrBadTransformFile, err)
 	}
 
-	t := &Transform{
-		D:        mat.NewDense(dRows, dCols),
-		OMPIters: int(hdr[7]),
-		Params: Params{
-			L: int(hdr[5]), MaxAtoms: int(hdr[6]),
-			Epsilon: math.Float64frombits(epsBits), Seed: seed,
-		},
-	}
-	for i := 0; i < dRows; i++ {
-		if err := read(t.D.Row(i)); err != nil {
-			return nil, err
-		}
-	}
-	colPtr := make([]int64, cCols+1)
-	if err := read(colPtr); err != nil {
-		return nil, err
-	}
-	rowIdx := make([]int64, nnz)
-	if err := read(rowIdx); err != nil {
-		return nil, err
-	}
-	val := make([]float64, nnz)
-	if err := read(val); err != nil {
-		return nil, err
-	}
-	dictIdx := make([]int64, dCols)
-	if err := read(dictIdx); err != nil {
-		return nil, err
-	}
-
-	c := &sparse.CSC{
-		Rows:   cRows,
-		Cols:   cCols,
-		ColPtr: make([]int, len(colPtr)),
-		RowIdx: make([]int, len(rowIdx)),
-		Val:    val,
-	}
-	for i, v := range colPtr {
-		c.ColPtr[i] = int(v)
-	}
-	for i, v := range rowIdx {
-		c.RowIdx[i] = int(v)
-	}
+	c := &sparse.CSC{Rows: cRows, Cols: cCols, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
 	if err := c.Check(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadTransformFile, err)
 	}
-	t.C = c
-	t.DictIdx = make([]int, len(dictIdx))
-	for i, v := range dictIdx {
-		t.DictIdx[i] = int(v)
+	return &Transform{
+		D:        mat.NewDenseData(dRows, dCols, d),
+		C:        c,
+		DictIdx:  dictIdx,
+		OMPIters: hdr[7],
+		Params: Params{
+			L: hdr[5], MaxAtoms: hdr[6],
+			Epsilon: math.Float64frombits(epsSeed[0]), Seed: epsSeed[1],
+		},
+	}, nil
+}
+
+// readWords reads n little-endian 8-byte words and converts each with conv.
+// The result grows by append one buffer at a time, never to a length the
+// input has not delivered, because n comes from the header and may lie.
+func readWords[T any](r io.Reader, n int, conv func(uint64) T) ([]T, error) {
+	var buf [4096]byte
+	out := make([]T, 0, min(n, len(buf)/8))
+	for len(out) < n {
+		chunk := buf[:8*min(n-len(out), len(buf)/8)]
+		if _, err := io.ReadFull(r, chunk); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadTransformFile, err)
+		}
+		for i := 0; i < len(chunk); i += 8 {
+			out = append(out, conv(binary.LittleEndian.Uint64(chunk[i:])))
+		}
 	}
-	return t, nil
+	return out, nil
 }

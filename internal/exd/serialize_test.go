@@ -2,8 +2,10 @@ package exd
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"extdict/internal/dataset"
@@ -63,17 +65,91 @@ func TestTransformSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// claimHeader returns the 88 bytes of a transform file up to its seed: the
+// magic and a header claiming a rows×cols dictionary, with no section
+// after it.
+func claimHeader(rows, cols int64) []byte {
+	b := []byte(transformMagic)
+	for _, v := range []int64{rows, cols, cols, 1, 0, cols, 0, 0, 0, 0} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	return b
+}
+
 func TestReadTransformRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		[]byte("short"),
 		[]byte("NOTMAGIC________________________"),
+		// Headers claiming a 2 GiB and a 2^59-byte dictionary: the reader
+		// must refuse both after allocating no more than the body.
+		claimHeader(16384, 16384),
+		claimHeader(1<<28, 1<<28),
 	}
 	for _, c := range cases {
-		if _, err := ReadTransform(bytes.NewReader(c)); !errors.Is(err, ErrBadTransformFile) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadTransform(bytes.NewReader(c))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadTransformFile) {
 			t.Fatalf("garbage %q accepted: %v", c, err)
 		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("a %d-byte input allocated %d bytes", len(c), grew)
+		}
 	}
+}
+
+// FuzzReadTransform holds ReadTransform to its contract on any input: it
+// never panics, refuses what it cannot parse with ErrBadTransformFile, and
+// WriteTo of a transform it accepts reproduces the input byte for byte.
+func FuzzReadTransform(f *testing.F) {
+	u, err := dataset.GenerateUnion(dataset.UnionParams{M: 6, N: 10, Ks: []int{2}}, rng.New(67))
+	if err != nil {
+		f.Fatal(err)
+	}
+	tr, err := Fit(u.A, Params{L: 4, Epsilon: 0.1, Seed: 68})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	f.Add(claimHeader(16384, 16384))
+	f.Add(claimHeader(1<<28, 1<<28))
+	f.Add(append([]byte("NOTMAGIC"), valid[len(transformMagic):]...))
+	// Each section cut in its middle: magic, header, ε and seed, D,
+	// ColPtr, RowIdx, Val, DictIdx.
+	off := 0
+	for _, size := range []int{
+		len(transformMagic), 8 * 8, 2 * 8, 8 * tr.D.Rows * tr.D.Cols,
+		8 * (tr.C.Cols + 1), 8 * tr.C.NNZ(), 8 * tr.C.NNZ(), 8 * tr.D.Cols,
+	} {
+		f.Add(valid[:off+size/2])
+		off += size
+	}
+	if off != len(valid) {
+		f.Fatalf("sections cover %d of %d bytes", off, len(valid))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		got, err := ReadTransform(bytes.NewReader(in))
+		if err != nil {
+			if !errors.Is(err, ErrBadTransformFile) {
+				t.Fatalf("error %v does not wrap ErrBadTransformFile", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if _, err := got.WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), in) {
+			t.Fatalf("WriteTo of an accepted input differs from it:\n in %x\nout %x", in, out.Bytes())
+		}
+	})
 }
 
 func TestReadTransformRejectsTruncation(t *testing.T) {

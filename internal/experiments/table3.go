@@ -33,14 +33,6 @@ type Table3Result struct {
 	Rows    []Table3Row
 }
 
-// Table3Platforms mirrors the paper's P = 1, 4, 16, 64 columns.
-var Table3Platforms = []cluster.Platform{
-	cluster.NewPlatform(1, 1),
-	cluster.NewPlatform(1, 4),
-	cluster.NewPlatform(2, 8),
-	cluster.NewPlatform(8, 8),
-}
-
 // Table3 measures every preset.
 func Table3(cfg Config) (*Table3Result, error) {
 	cfg = cfg.filled()
@@ -65,7 +57,7 @@ func Table3(cfg Config) (*Table3Result, error) {
 			}
 			row.Baselines[m.Name()] = fit.MemoryWords()
 		}
-		for _, plat := range Table3Platforms {
+		for _, plat := range cluster.PaperPlatforms() {
 			tr, _, err := tune.TuneAndFit(u.A, plat, tune.Config{
 				Epsilon: eps, Workers: cfg.Workers, Seed: cfg.Seed,
 			})
@@ -85,7 +77,7 @@ func Table3(cfg Config) (*Table3Result, error) {
 // original data.
 func (r *Table3Result) Table() string {
 	header := []string{"dataset", "original", "RCSS", "oASIS", "RankMap"}
-	for _, plat := range Table3Platforms {
+	for _, plat := range cluster.PaperPlatforms() {
 		header = append(header, fmt.Sprintf("ExtDict P=%d", plat.Topology.P()))
 	}
 	tw := &tableWriter{header: header}
@@ -97,7 +89,7 @@ func (r *Table3Result) Table() string {
 			fmt.Sprintf("%d", row.Baselines["oASIS"]),
 			fmt.Sprintf("%d", row.Baselines["RankMap"]),
 		}
-		for _, plat := range Table3Platforms {
+		for _, plat := range cluster.PaperPlatforms() {
 			p := plat.Topology.P()
 			cells = append(cells, fmt.Sprintf("%d (L=%d)", row.ExtDict[p], row.ExtDictL[p]))
 		}

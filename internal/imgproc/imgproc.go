@@ -1,54 +1,13 @@
-// Package imgproc provides the small image toolkit the denoising and
-// super-resolution applications need: a float64 grayscale image type, patch
-// extraction/assembly, and the PSNR/MSE/SNR metrics the paper reports
-// (§VIII-D2).
+// Package imgproc provides the reconstruction-quality metrics the denoising
+// and super-resolution applications report (§VIII-D2): MSE, PSNR and the
+// relative ℓ₂ error.
 package imgproc
 
 import (
-	"fmt"
 	"math"
 
 	"extdict/internal/mat"
 )
-
-// Image is a grayscale image with float64 intensities, row-major.
-type Image struct {
-	W, H int
-	Pix  []float64
-}
-
-// NewImage returns a zeroed W×H image.
-func NewImage(w, h int) *Image {
-	if w < 0 || h < 0 {
-		panic("imgproc: negative image dimension")
-	}
-	return &Image{W: w, H: h, Pix: make([]float64, w*h)}
-}
-
-// At returns the intensity at (x, y).
-func (im *Image) At(x, y int) float64 { return im.Pix[y*im.W+x] }
-
-// Set assigns the intensity at (x, y).
-func (im *Image) Set(x, y int, v float64) { im.Pix[y*im.W+x] = v }
-
-// Clone returns a deep copy.
-func (im *Image) Clone() *Image {
-	out := NewImage(im.W, im.H)
-	copy(out.Pix, im.Pix)
-	return out
-}
-
-// MaxAbs returns the largest absolute intensity (the MAX of the PSNR
-// definition for zero-centered synthetic intensities).
-func (im *Image) MaxAbs() float64 {
-	var m float64
-	for _, v := range im.Pix {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
 
 // MSE returns the mean squared error between two equal-length signals.
 func MSE(ref, test []float64) float64 {
@@ -85,23 +44,6 @@ func PSNR(ref, test []float64, maxVal float64) float64 {
 	return 10 * math.Log10(maxVal*maxVal/mse)
 }
 
-// SNR returns the signal-to-noise ratio in dB of test against ref.
-func SNR(ref, test []float64) float64 {
-	if len(ref) != len(test) {
-		panic("imgproc: SNR length mismatch")
-	}
-	var sig, noise float64
-	for i, r := range ref {
-		sig += r * r
-		d := r - test[i]
-		noise += d * d
-	}
-	if noise == 0 {
-		return math.Inf(1)
-	}
-	return 10 * math.Log10(sig/noise)
-}
-
 // RelError returns ‖ref - test‖₂/‖ref‖₂, the paper's learning-error metric
 // for the reconstruction applications.
 func RelError(ref, test []float64) float64 {
@@ -115,86 +57,4 @@ func RelError(ref, test []float64) float64 {
 		return 0
 	}
 	return mat.Norm2(diff) / d
-}
-
-// ExtractPatches cuts every patch of side `side` at stride `stride` from the
-// image, returning one column per patch (side² rows, row-major pixels) plus
-// the patch origins.
-func ExtractPatches(im *Image, side, stride int) (*mat.Dense, [][2]int, error) {
-	if side <= 0 || stride <= 0 {
-		return nil, nil, fmt.Errorf("imgproc: invalid patch side %d / stride %d", side, stride)
-	}
-	if im.W < side || im.H < side {
-		return nil, nil, fmt.Errorf("imgproc: image %dx%d smaller than patch %d", im.W, im.H, side)
-	}
-	var origins [][2]int
-	for y := 0; y+side <= im.H; y += stride {
-		for x := 0; x+side <= im.W; x += stride {
-			origins = append(origins, [2]int{x, y})
-		}
-	}
-	out := mat.NewDense(side*side, len(origins))
-	col := make([]float64, side*side)
-	for j, o := range origins {
-		k := 0
-		for dy := 0; dy < side; dy++ {
-			for dx := 0; dx < side; dx++ {
-				col[k] = im.At(o[0]+dx, o[1]+dy)
-				k++
-			}
-		}
-		out.SetCol(j, col)
-	}
-	return out, origins, nil
-}
-
-// AssemblePatches reverses ExtractPatches: patches are written back at their
-// origins and overlapping pixels are averaged. The image dimensions must
-// cover every origin.
-func AssemblePatches(w, h, side int, patches *mat.Dense, origins [][2]int) (*Image, error) {
-	if patches.Rows != side*side {
-		return nil, fmt.Errorf("imgproc: patch rows %d != side² %d", patches.Rows, side*side)
-	}
-	if patches.Cols != len(origins) {
-		return nil, fmt.Errorf("imgproc: %d patches for %d origins", patches.Cols, len(origins))
-	}
-	im := NewImage(w, h)
-	weight := make([]float64, w*h)
-	col := make([]float64, side*side)
-	for j, o := range origins {
-		if o[0] < 0 || o[1] < 0 || o[0]+side > w || o[1]+side > h {
-			return nil, fmt.Errorf("imgproc: origin %v out of bounds", o)
-		}
-		patches.Col(j, col)
-		k := 0
-		for dy := 0; dy < side; dy++ {
-			for dx := 0; dx < side; dx++ {
-				idx := (o[1]+dy)*w + o[0] + dx
-				im.Pix[idx] += col[k]
-				weight[idx]++
-				k++
-			}
-		}
-	}
-	for i, wt := range weight {
-		if wt > 0 {
-			im.Pix[i] /= wt
-		}
-	}
-	return im, nil
-}
-
-// Downsample2 returns the image averaged over 2×2 blocks (used to fabricate
-// low-resolution inputs for super-resolution demos). Odd trailing rows or
-// columns are dropped.
-func Downsample2(im *Image) *Image {
-	out := NewImage(im.W/2, im.H/2)
-	for y := 0; y < out.H; y++ {
-		for x := 0; x < out.W; x++ {
-			s := im.At(2*x, 2*y) + im.At(2*x+1, 2*y) +
-				im.At(2*x, 2*y+1) + im.At(2*x+1, 2*y+1)
-			out.Set(x, y, s/4)
-		}
-	}
-	return out
 }

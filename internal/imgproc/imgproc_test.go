@@ -7,33 +7,6 @@ import (
 	"extdict/internal/rng"
 )
 
-func rampImage(w, h int) *Image {
-	im := NewImage(w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			im.Set(x, y, float64(y*w+x))
-		}
-	}
-	return im
-}
-
-func TestImageBasics(t *testing.T) {
-	im := NewImage(4, 3)
-	im.Set(2, 1, 5)
-	if im.At(2, 1) != 5 || im.Pix[1*4+2] != 5 {
-		t.Fatal("At/Set layout wrong")
-	}
-	c := im.Clone()
-	c.Set(0, 0, 9)
-	if im.At(0, 0) != 0 {
-		t.Fatal("Clone aliases")
-	}
-	im.Set(3, 2, -7)
-	if im.MaxAbs() != 7 {
-		t.Fatalf("MaxAbs %v", im.MaxAbs())
-	}
-}
-
 func TestMSEAndPSNR(t *testing.T) {
 	ref := []float64{1, 2, 3, 4}
 	if MSE(ref, ref) != 0 {
@@ -55,17 +28,6 @@ func TestMSEAndPSNR(t *testing.T) {
 	}
 }
 
-func TestSNRKnown(t *testing.T) {
-	ref := []float64{3, 0, 0, 0}
-	test := []float64{3, 1, 0, 0} // noise power 1, signal power 9
-	if got := SNR(ref, test); math.Abs(got-10*math.Log10(9)) > 1e-12 {
-		t.Fatalf("SNR %v", got)
-	}
-	if !math.IsInf(SNR(ref, ref), 1) {
-		t.Fatal("SNR of identical must be +Inf")
-	}
-}
-
 func TestRelError(t *testing.T) {
 	ref := []float64{3, 4}
 	test := []float64{3, 0}
@@ -74,85 +36,6 @@ func TestRelError(t *testing.T) {
 	}
 	if RelError([]float64{0, 0}, []float64{0, 0}) != 0 {
 		t.Fatal("zero-ref RelError")
-	}
-}
-
-func TestExtractAssembleRoundTripNonOverlapping(t *testing.T) {
-	im := rampImage(8, 6)
-	p, origins, err := ExtractPatches(im, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Cols != 4*3 || p.Rows != 4 {
-		t.Fatalf("patches %dx%d", p.Rows, p.Cols)
-	}
-	re, err := AssemblePatches(8, 6, 2, p, origins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range im.Pix {
-		if re.Pix[i] != im.Pix[i] {
-			t.Fatalf("pixel %d: %v vs %v", i, re.Pix[i], im.Pix[i])
-		}
-	}
-}
-
-func TestExtractAssembleRoundTripOverlapping(t *testing.T) {
-	im := rampImage(9, 9)
-	p, origins, err := ExtractPatches(im, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, err := AssemblePatches(9, 9, 3, p, origins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Consistent overlapping patches must average back to the original.
-	for i := range im.Pix {
-		if math.Abs(re.Pix[i]-im.Pix[i]) > 1e-9 {
-			t.Fatalf("pixel %d: %v vs %v", i, re.Pix[i], im.Pix[i])
-		}
-	}
-}
-
-func TestExtractPatchesErrors(t *testing.T) {
-	im := rampImage(4, 4)
-	if _, _, err := ExtractPatches(im, 0, 1); err == nil {
-		t.Fatal("side 0 accepted")
-	}
-	if _, _, err := ExtractPatches(im, 5, 1); err == nil {
-		t.Fatal("oversized patch accepted")
-	}
-}
-
-func TestAssemblePatchesErrors(t *testing.T) {
-	im := rampImage(6, 6)
-	p, origins, _ := ExtractPatches(im, 2, 2)
-	if _, err := AssemblePatches(6, 6, 3, p, origins); err == nil {
-		t.Fatal("side mismatch accepted")
-	}
-	if _, err := AssemblePatches(6, 6, 2, p, origins[:1]); err == nil {
-		t.Fatal("origin count mismatch accepted")
-	}
-	bad := [][2]int{{5, 5}}
-	if _, err := AssemblePatches(6, 6, 2, p.ColSlice([]int{0}), bad); err == nil {
-		t.Fatal("out-of-bounds origin accepted")
-	}
-}
-
-func TestDownsample2(t *testing.T) {
-	im := NewImage(4, 2)
-	for i := range im.Pix {
-		im.Pix[i] = float64(i)
-	}
-	d := Downsample2(im)
-	if d.W != 2 || d.H != 1 {
-		t.Fatalf("downsampled %dx%d", d.W, d.H)
-	}
-	// Block (0,0): pixels 0,1,4,5 -> 2.5.
-	//lint:ignore nofloateq the mean of 0,1,4,5 is exactly representable and must round-trip bitwise
-	if d.At(0, 0) != 2.5 {
-		t.Fatalf("block average %v", d.At(0, 0))
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 	"net/url"
 	"testing"
 
+	"extdict/internal/exd"
 	"extdict/internal/mat"
-	"extdict/internal/matio"
 	"extdict/internal/omp"
 	"extdict/internal/rng"
 )
@@ -112,9 +112,9 @@ func FuzzCodeHandlers(f *testing.F) {
 	})
 }
 
-// FuzzReload asserts the POST /v1/reloadz contract for arbitrary bodies,
-// formats and dictionary names: the handler never panics and answers only
-// 200, 400 or 404. A rejection leaves the published epoch alone. Every 200
+// FuzzReload asserts the POST /v1/reloadz contract for arbitrary bodies
+// and dictionary names: the handler never panics and answers only 200, 400
+// or 404. A rejection leaves the published epoch alone. Every 200
 // publishes the next epoch with finite entries and every column of norm 1
 // or 0, and no column that is nonzero in the body is published as zeros:
 // a reload can never hand the coder a NaN or dead atom.
@@ -126,31 +126,31 @@ func FuzzReload(f *testing.F) {
 	}
 	f.Cleanup(srv.Close)
 
-	var csv, edm bytes.Buffer
-	if err := matio.WriteCSV(&csv, d); err != nil {
-		f.Fatalf("write csv: %v", err)
+	// reload is a transform body whose dictionary has the given rows and
+	// entries, row-major.
+	reload := func(rows int, vals ...float64) []byte {
+		return transformBody(f, mat.NewDenseData(rows, len(vals)/rows, vals))
 	}
-	if err := matio.WriteBinary(&edm, d); err != nil {
-		f.Fatalf("write edm: %v", err)
-	}
-	f.Add("csv", "d", csv.Bytes())
-	f.Add("edm", "", edm.Bytes())
-	f.Add("", "d", edm.Bytes())
-	f.Add("csv", "nope", csv.Bytes())                         // unknown dictionary
-	f.Add("xml", "d", csv.Bytes())                            // unknown format
-	f.Add("csv", "d", []byte("1,0\n0,1\n0,0\n"))              // a valid 3×2 replacement
-	f.Add("csv", "d", []byte("1,0\n0,0\n0,0\n"))              // an all-zero column
-	f.Add("csv", "d", []byte("Inf,0\n0,1\n0,0\n"))            // Inf entry
-	f.Add("csv", "d", []byte("1e200,0\n1e200,1\n0,0\n"))      // ‖column‖² overflows
-	f.Add("csv", "d", []byte("2e-162,0\n0,1\n0,0\n"))         // ‖column‖² subnormal
-	f.Add("csv", "d", []byte("1e-170,0\n0,1\n0,0\n"))         // ‖column‖² underflows to 0
-	f.Add("csv", "d", []byte("1,0,0\n0,1,0\n0,0,1\n0,0,0\n")) // wrong row count
-	f.Fuzz(func(t *testing.T, format, dict string, body []byte) {
+	valid := transformBody(f, d)
+	f.Add("d", valid)
+	f.Add("", valid)
+	f.Add("nope", valid)                                      // unknown dictionary
+	f.Add("d", valid[:len(valid)/2])                          // truncated transform
+	f.Add("d", []byte("1,0\n0,1\n0,0\n"))                     // not a transform
+	f.Add("d", reload(3, 1, 0, 0, 1, 0, 0))                   // a valid 3×2 replacement
+	f.Add("d", reload(3, 1, 0, 0, 0, 0, 0))                   // an all-zero column
+	f.Add("d", reload(3, math.Inf(1), 0, 0, 1, 0, 0))         // Inf entry
+	f.Add("d", reload(3, 1e200, 0, 1e200, 1, 0, 0))           // ‖column‖² overflows
+	f.Add("d", reload(3, 2e-162, 0, 0, 1, 0, 0))              // ‖column‖² subnormal
+	f.Add("d", reload(3, 1e-170, 0, 0, 1, 0, 0))              // ‖column‖² underflows to 0
+	f.Add("d", reload(4, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0)) // wrong row count
+	f.Add("d", reload(3, math.NaN(), 0, 0, 1, 0, 0))          // NaN entry
+	f.Fuzz(func(t *testing.T, dict string, body []byte) {
 		before, err := srv.Epoch("d")
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := url.Values{"dict": {dict}, "format": {format}}
+		q := url.Values{"dict": {dict}}
 		rec := httptest.NewRecorder()
 		srv.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/reloadz?"+q.Encode(), bytes.NewReader(body)))
 
@@ -166,7 +166,7 @@ func FuzzReload(f *testing.F) {
 			}
 			return
 		default:
-			t.Fatalf("status %d for format %q, dict %q, body %q", rec.Code, format, dict, body)
+			t.Fatalf("status %d for dict %q, body %q", rec.Code, dict, body)
 		}
 
 		var rl ReloadResponse
@@ -179,15 +179,11 @@ func FuzzReload(f *testing.F) {
 			t.Fatalf("reload %+v against published %dx%d at epoch %d (was %d)", rl, pub.Rows, pub.Cols, snap.epoch, before)
 		}
 		// Decode the body the way the handler does.
-		var in *mat.Dense
-		if format == "csv" {
-			in, err = matio.ReadCSV(bytes.NewReader(body))
-		} else {
-			in, err = matio.ReadBinary(bytes.NewReader(body))
-		}
+		tr, err := exd.ReadTransform(bytes.NewReader(body))
 		if err != nil {
 			t.Fatalf("200 for a body the decoder rejects: %v", err)
 		}
+		in := tr.D
 		for j := 0; j < pub.Cols; j++ {
 			var ss float64
 			live, wasLive := false, false

@@ -9,10 +9,9 @@ import (
 	"strconv"
 
 	"extdict/internal/mat"
-	"extdict/internal/matio"
 )
 
-// maxBodyBytes bounds /v1/reloadz bodies: matrices at paper scale stay
+// maxBodyBytes bounds /v1/reloadz bodies: transforms at paper scale stay
 // well under it. Encode and denoise bodies have a cap sized to the signal
 // (codeBodyCap).
 const maxBodyBytes = 256 << 20
@@ -186,29 +185,13 @@ func (s *Server) handleCode(w http.ResponseWriter, r *http.Request, kind reqKind
 	_, _ = w.Write(out)
 }
 
-// handleReload hot-swaps a dictionary from the request body: a CSV or EDM
-// binary matrix (query parameter format=csv|edm), columns normalized
-// before publication. A body with a column NormalizeDict cannot scale to
-// unit norm is a 400 and leaves the published epoch alone.
+// handleReload hot-swaps a dictionary from the request body: a transform
+// file, whose dictionary ReadDict normalizes before publication. A body
+// ReadDict refuses is a 400 and leaves the published epoch alone.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("dict")
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var d *mat.Dense
-	var err error
-	switch format := r.URL.Query().Get("format"); format {
-	case "csv":
-		d, err = matio.ReadCSV(body)
-	case "", "edm":
-		d, err = matio.ReadBinary(body)
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("serve: unknown matrix format %q (want csv or edm)", format), 0)
-		return
-	}
+	d, err := ReadDict(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad matrix body: "+err.Error(), 0)
-		return
-	}
-	if err := NormalizeDict(d); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}

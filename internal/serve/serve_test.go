@@ -16,10 +16,11 @@ import (
 
 	"extdict/internal/cluster"
 	"extdict/internal/cluster/clustertest"
+	"extdict/internal/exd"
 	"extdict/internal/mat"
-	"extdict/internal/matio"
 	"extdict/internal/omp"
 	"extdict/internal/rng"
+	"extdict/internal/sparse"
 )
 
 // unitDictionary returns an M×L dictionary with unit-norm random columns.
@@ -30,6 +31,18 @@ func unitDictionary(r *rng.RNG, m, l int) *mat.Dense {
 	}
 	d.NormalizeColumns()
 	return d
+}
+
+// transformBody returns d as a transform file, the body /v1/reloadz takes:
+// d is its dictionary, and its C codes one column with no atoms.
+func transformBody(t testing.TB, d *mat.Dense) []byte {
+	t.Helper()
+	tr := &exd.Transform{D: d, C: &sparse.CSC{Rows: d.Cols, Cols: 1, ColPtr: []int{0, 0}}, DictIdx: make([]int, d.Cols)}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatalf("write transform: %v", err)
+	}
+	return buf.Bytes()
 }
 
 // randSignal draws a dense random signal of dimension m.
@@ -245,18 +258,11 @@ func TestReloadSwapsEpoch(t *testing.T) {
 	d2 := unitDictionary(r, 10, 30)
 	srv, ts := newTestServer(t, map[string]*mat.Dense{"d": d1}, Config{Tol: 0.05})
 
-	var csv bytes.Buffer
-	if err := matio.WriteCSV(&csv, d2); err != nil {
-		t.Fatalf("write csv: %v", err)
-	}
-	// The reference must see exactly what the server sees: the CSV
-	// round-trip re-normalized, same as handleReload does.
-	d2ref, err := matio.ReadCSV(bytes.NewReader(csv.Bytes()))
-	if err != nil {
-		t.Fatalf("read csv back: %v", err)
-	}
+	// The reference must see exactly what the server sees: d2 re-normalized,
+	// same as ReadDict does.
+	d2ref := d2.Clone()
 	d2ref.NormalizeColumns()
-	resp, err := http.Post(ts.URL+"/v1/reloadz?dict=d&format=csv", "text/csv", &csv)
+	resp, err := http.Post(ts.URL+"/v1/reloadz?dict=d", "application/octet-stream", bytes.NewReader(transformBody(t, d2)))
 	if err != nil {
 		t.Fatalf("reloadz: %v", err)
 	}
@@ -288,8 +294,8 @@ func TestReloadSwapsEpoch(t *testing.T) {
 	sameResult(t, got, want)
 
 	// Rejected bodies answer 400 and the epoch stays put: a mismatched
-	// shape, and columns whose squared norm overflows, which normalizing
-	// would publish as a dead (zero or NaN) atom.
+	// shape, a NaN entry, and columns whose squared norm overflows, which
+	// normalizing would publish as a dead (zero or NaN) atom.
 	poisoned := func(v float64) *mat.Dense {
 		d := d2.Clone()
 		d.Set(0, 0, v)
@@ -300,14 +306,11 @@ func TestReloadSwapsEpoch(t *testing.T) {
 		d    *mat.Dense
 	}{
 		{"bad shape", unitDictionary(r, 4, 6)},
+		{"NaN entry", poisoned(math.NaN())},
 		{"Inf entry", poisoned(math.Inf(1))},
 		{"overflowing norm", poisoned(1e200)},
 	} {
-		var badCSV bytes.Buffer
-		if err := matio.WriteCSV(&badCSV, tc.d); err != nil {
-			t.Fatalf("write csv: %v", err)
-		}
-		resp, err = http.Post(ts.URL+"/v1/reloadz?dict=d&format=csv", "text/csv", &badCSV)
+		resp, err = http.Post(ts.URL+"/v1/reloadz?dict=d", "application/octet-stream", bytes.NewReader(transformBody(t, tc.d)))
 		if err != nil {
 			t.Fatalf("reloadz: %v", err)
 		}

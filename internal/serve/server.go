@@ -26,6 +26,7 @@ package serve
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -33,6 +34,7 @@ import (
 	"time"
 
 	"extdict/internal/cluster"
+	"extdict/internal/exd"
 	"extdict/internal/mat"
 )
 
@@ -154,10 +156,10 @@ const minColumnNorm = 0x1p-511
 
 // NormalizeDict scales every column of d to unit Euclidean norm in place,
 // the form New and Swap expect, and fails when a nonzero column cannot get
-// there: its squared norm overflows (an Inf entry, or finite entries as
-// large as 1e200), which would zero the column or fill it with NaN, or it
-// underflows. All-zero columns stay zero. On error d is left partly scaled
-// and must be discarded.
+// there: it holds a NaN, its squared norm overflows (an Inf entry, or
+// finite entries as large as 1e200), which would zero the column or fill
+// it with NaN, or it underflows. All-zero columns stay zero. On error d is
+// left partly scaled and must be discarded.
 func NormalizeDict(d *mat.Dense) error {
 	live := make([]bool, d.Cols)
 	for i := 0; i < d.Rows; i++ {
@@ -166,11 +168,26 @@ func NormalizeDict(d *mat.Dense) error {
 		}
 	}
 	for j, n := range d.NormalizeColumns() {
-		if math.IsInf(n, 0) || (live[j] && n < minColumnNorm) {
+		if math.IsNaN(n) || math.IsInf(n, 0) || (live[j] && n < minColumnNorm) {
 			return fmt.Errorf("serve: dictionary column %d has norm %g and cannot be scaled to unit norm", j, n)
 		}
 	}
 	return nil
+}
+
+// ReadDict decodes a transform file, as exd's WriteTo and `extdict fit
+// -out` write it, and returns its dictionary D after NormalizeDict. It is
+// the one loader behind extdict-serve's -dict files and /v1/reloadz
+// bodies.
+func ReadDict(r io.Reader) (*mat.Dense, error) {
+	tr, err := exd.ReadTransform(r)
+	if err != nil {
+		return nil, err
+	}
+	if err := NormalizeDict(tr.D); err != nil {
+		return nil, err
+	}
+	return tr.D, nil
 }
 
 // Names returns the served dictionary names in sorted order.

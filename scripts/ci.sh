@@ -159,15 +159,18 @@ echo "== bench smoke (kernel, coding, preprocessing, solver and wire-codec bench
 # or no longer compile without paying the full measurement cost.
 go test -run '^$' -bench . -benchtime 1x -count=1 ./internal/mat/ ./internal/omp/ ./internal/exd/ ./internal/tune/ ./internal/dist/ ./internal/sparse/ ./internal/serve/ ./internal/solver/ >/dev/null
 
-echo "== serve smoke (binary round-trip and clean shutdown)"
-# The serving binary end to end: load a generated dictionary, bind a free
-# loopback port, answer a health probe and one encode round-trip, then
-# drain cleanly on SIGTERM. The in-process variants of this path (listener
-# lifecycle under a leak watchdog, the -race soak) already ran with the
-# test suite above; this gate proves the shipped binary wires them up.
-go run ./cmd/extdict gen -preset salinas -scale 0.05 -out "$tmpdir/dict.edm" >/dev/null
+echo "== serve smoke (fit once, then serve the transform; clean shutdown)"
+# The serving binary end to end on the file `extdict fit -out` writes: load
+# the fitted transform's dictionary, bind a free loopback port, answer a
+# health probe and one encode round-trip, then drain cleanly on SIGTERM.
+# The in-process variants of this path (listener lifecycle under a leak
+# watchdog, the -race soak) already ran with the test suite above; this
+# gate proves the shipped binaries wire them up.
+go build -o "$tmpdir/extdict" ./cmd/extdict
+"$tmpdir/extdict" gen -preset salinas -scale 0.05 -out "$tmpdir/data.edm" >/dev/null
+"$tmpdir/extdict" fit -in "$tmpdir/data.edm" -eps 0.1 -out "$tmpdir/m.exd" >/dev/null
 go build -o "$tmpdir/extdict-serve" ./cmd/extdict-serve
-"$tmpdir/extdict-serve" -dict smoke="$tmpdir/dict.edm" -addr 127.0.0.1:0 \
+"$tmpdir/extdict-serve" -dict smoke="$tmpdir/m.exd" -addr 127.0.0.1:0 \
     >"$tmpdir/serve.log" 2>&1 &
 serve_pid=$!
 addr=""

@@ -8,8 +8,9 @@
 # storage-order rewrites (MulTo rows are MulVecT's, the panel coder's codes
 # are Encode's, the pipelined RelError is the serial loop's, the parallel
 # Assemble is the Builder's, the one-pass coding loop is the one it
-# replaced) and the paper artifacts' metrics must hold under serial, dual
-# and fully parallel scheduling. The chaos digest test and the experiment
+# replaced), the root package's Example walkthroughs (their checked output)
+# and the paper artifacts' metrics must hold under serial, dual and fully
+# parallel scheduling. The chaos digest test and the experiment
 # metrics golden compare every run against the same committed files
 # (internal/cluster/chaos/testdata/replay.digest,
 # cmd/extdict-bench/testdata/metrics.golden.json), so runs at different
@@ -26,4 +27,5 @@ go test -count=1 -run 'TestBuildColumnsMatchesBuilder' ./internal/sparse/
 go test -count=1 -run 'TestRelErrorMatchesSerialLoop' ./internal/exd/
 go test -count=1 ./internal/cluster/chaos/
 go test -count=1 -run 'TestTuneAndFitIsExdFit|TestTuneDeterministic' ./internal/tune/
+go test -count=1 -run 'Example' .
 go test -count=1 -run 'TestExperimentMetricsGolden' ./cmd/extdict-bench/
