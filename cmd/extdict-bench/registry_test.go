@@ -20,27 +20,46 @@ import (
 // price their runs with ModeledTime, so their times are deterministic too.
 var goldenExperiments = []string{"fig4", "fig5", "fig6", "tab2", "fig7", "tab3", "fig8", "fig9", "fig10", "fig11", "fig12"}
 
-// TestExperimentMetricsGolden pins every metric of the goldenExperiments at
-// a small scale against a committed golden, compared exactly, so a change
-// that moves a paper number fails go test. It holds at any GOMAXPROCS. A
-// runner that reports no metric fails it even while recording, so an
-// artifact cannot go back to a table alone. Regenerate after a deliberate
+// goldenCell is one pinned run: an experiment at a scale, recorded under its
+// own id.
+type goldenCell struct {
+	id, exp string
+	scale   float64
+}
+
+// goldenCells are the goldenExperiments at scale 0.05 plus tab3 at scale
+// 0.2. At 0.05 the tuner picks the same L on every platform; 0.2 is the
+// smallest scale at which it does not (cancercell picks L = 54 at P = 1 and
+// L = 38 at P ≥ 4), so a tuner that ignored the platform fails the golden.
+func goldenCells() []goldenCell {
+	cells := make([]goldenCell, 0, len(goldenExperiments)+1)
+	for _, id := range goldenExperiments {
+		cells = append(cells, goldenCell{id: id, exp: id, scale: 0.05})
+	}
+	return append(cells, goldenCell{id: "tab3_scale0.2", exp: "tab3", scale: 0.2})
+}
+
+// TestExperimentMetricsGolden pins every metric of the goldenCells against
+// a committed golden, compared exactly, so a change that moves a paper
+// number fails go test. It holds at any GOMAXPROCS. A runner that reports
+// no metric fails it even while recording, so an artifact cannot go back
+// to a table alone. Regenerate after a deliberate
 // change with
 //
 //	UPDATE_EXPERIMENT_METRICS=1 go test -run TestExperimentMetricsGolden ./cmd/extdict-bench/
 func TestExperimentMetricsGolden(t *testing.T) {
 	reg := registry(10, 10)
-	cfg := experiments.Config{Scale: 0.05, Seed: 1}
+	cells := goldenCells()
 	got := map[string]map[string]float64{}
-	for _, id := range goldenExperiments {
-		art, err := reg[id](cfg)
+	for _, c := range cells {
+		art, err := reg[c.exp](experiments.Config{Scale: c.scale, Seed: 1})
 		if err != nil {
-			t.Fatalf("%s: %v", id, err)
+			t.Fatalf("%s: %v", c.id, err)
 		}
 		if len(art.Metrics) == 0 {
-			t.Fatalf("%s reports no metric, so the golden cannot pin it", id)
+			t.Fatalf("%s reports no metric, so the golden cannot pin it", c.id)
 		}
-		got[id] = art.Metrics
+		got[c.id] = art.Metrics
 	}
 	enc, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
@@ -68,7 +87,8 @@ func TestExperimentMetricsGolden(t *testing.T) {
 		t.Fatalf("golden %s: %v", golden, err)
 	}
 	var diffs []string
-	for _, id := range goldenExperiments {
+	for _, c := range cells {
+		id := c.id
 		for k, w := range want[id] {
 			if g, ok := got[id][k]; !ok {
 				diffs = append(diffs, fmt.Sprintf("%s.%s: gone (want %v)", id, k, w))
