@@ -22,10 +22,6 @@ func GenerateUnionOfSubspaces(p UnionOfSubspacesParams, seed uint64) (*Matrix, [
 	return u.A, u.Membership, nil
 }
 
-// DatasetPresets lists the built-in dataset presets mirroring the paper's
-// evaluation datasets (salinas, cancercell, lightfield).
-func DatasetPresets() []string { return dataset.PresetNames() }
-
 // GeneratePreset draws one of the built-in presets at the given scale
 // (1 = default size; smaller values shrink the column count).
 func GeneratePreset(name string, scale float64, seed uint64) (*Matrix, error) {

@@ -378,9 +378,8 @@ func Example_evolving() {
 }
 
 // Example_clustering runs spectral partitioning of densely correlated
-// signals through the ExtDict-transformed Gram operator, plus sparse PCA
-// for interpretable components — two more of the Power-method
-// applications the paper lists (§II-A).
+// signals through the ExtDict-transformed Gram operator, one more of the
+// Power-method applications the paper lists (§II-A).
 func Example_clustering() {
 	// Three direction clusters (rank-1 subspaces) in a 64-dim space.
 	data, truth, err := extdict.GenerateUnionOfSubspaces(extdict.UnionOfSubspacesParams{
@@ -406,102 +405,10 @@ func Example_clustering() {
 	fmt.Printf("pairwise agreement with ground truth: %.1f%%\n", 100*randIndex(res.Assign, truth))
 	fmt.Printf("distributed cost: %.2f ms modeled over %d power iterations\n",
 		res.Eigen.Stats.ModeledTime*1e3, res.Eigen.Iters)
-
-	// Sparse PCA: components restricted to 8 nonzero loadings each.
-	sp := extdict.SolveSparsePCA(op, extdict.SparsePCAOptions{
-		Components: 3, Cardinality: 8, Seed: 94,
-	})
-	fmt.Println("\nsparse PCA (≤8 loadings per component):")
-	for k, v := range sp.Variances {
-		nz := 0
-		for _, x := range sp.Components.Col(k, nil) {
-			if x != 0 {
-				nz++
-			}
-		}
-		fmt.Printf("component %d: explained variance %.2f, %d nonzero loadings\n", k+1, v, nz)
-	}
 	// Output:
 	// spectral clustering on (DC)ᵀDC: 1200 columns into 3 clusters
 	// pairwise agreement with ground truth: 97.3%
 	// distributed cost: 17.32 ms modeled over 211 power iterations
-	//
-	// sparse PCA (≤8 loadings per component):
-	// component 1: explained variance 7.99, 8 nonzero loadings
-	// component 2: explained variance 7.98, 8 nonzero loadings
-	// component 3: explained variance 7.98, 8 nonzero loadings
-}
-
-// Example_svm trains a soft-margin support vector machine in the dual on
-// the distributed Gram operator — §II-A's last target algorithm —
-// comparing the ExtDict-transformed iteration against the raw baseline on
-// time and agreement, then classifying held-out samples with the primal
-// weights.
-func Example_svm() {
-	// One draw, split into train and held-out halves (both classes share
-	// the same pair of directions).
-	all, allLabels := twoClassData(64, 2400, 0.02, 121)
-	data := all.ColRange(0, 2000).Clone()
-	labels := allLabels[:2000]
-	fresh := all.ColRange(2000, 2400).Clone()
-	freshLabels := allLabels[2000:]
-
-	platform := extdict.NewPlatform(2, 4)
-	opts := extdict.SVMOptions{C: 10, MaxIters: 1000, Seed: 122}
-
-	raw := extdict.SolveSVM(extdict.DenseGramOperator(data, platform), labels, opts)
-
-	model, err := extdict.Fit(data, platform, extdict.Options{Epsilon: 0.1, Seed: 123})
-	if err != nil {
-		panic(err)
-	}
-	op, err := model.GramOperator()
-	if err != nil {
-		panic(err)
-	}
-	fast := extdict.SolveSVM(op, labels, opts)
-
-	fmt.Printf("%-12s %-10s %-8s %-10s %s\n", "operator", "accuracy", "SVs", "dual obj", "modeled(ms)")
-	for _, row := range []struct {
-		name string
-		r    extdict.SVMResult
-	}{{"AᵀA", raw}, {"ExD", fast}} {
-		correct := 0
-		for i, y := range labels {
-			if y*row.r.Margins[i] > 0 {
-				correct++
-			}
-		}
-		fmt.Printf("%-12s %-10.3f %-8d %-10.2f %.2f\n",
-			row.name, float64(correct)/float64(len(labels)),
-			row.r.SupportVectors, row.r.Objective, row.r.Stats.ModeledTime*1e3)
-	}
-	fmt.Printf("\nspeedup on the training iterations: %.2fx\n",
-		raw.Stats.ModeledTime/fast.Stats.ModeledTime)
-
-	// Classify the held-out samples with the primal weights.
-	w := extdict.SVMWeights(data, labels, fast)
-	correct := 0
-	col := make([]float64, 64)
-	for j := 0; j < fresh.Cols; j++ {
-		fresh.Col(j, col)
-		f := 0.0
-		for i, wi := range w {
-			f += wi * col[i]
-		}
-		if f*freshLabels[j] > 0 {
-			correct++
-		}
-	}
-	fmt.Printf("held-out accuracy on %d fresh samples: %.3f\n",
-		fresh.Cols, float64(correct)/float64(fresh.Cols))
-	// Output:
-	// operator     accuracy   SVs      dual obj   modeled(ms)
-	// AᵀA          1.000      211      1.13       104.47
-	// ExD          1.000      211      1.13       68.18
-	//
-	// speedup on the training iterations: 1.53x
-	// held-out accuracy on 400 fresh samples: 1.000
 }
 
 // lassoWeight sizes λ relative to the correlation scale of the problem:
@@ -552,74 +459,4 @@ func randIndex(a, b []int) float64 {
 		}
 	}
 	return float64(agree) / float64(total)
-}
-
-// twoClassData draws unit-norm columns scattered around one of two
-// orthogonal directions (no sign flips, so the classes are linearly
-// separable), returning the matrix and ±1 labels: a light-weight stand-in
-// for a labeled feature matrix.
-func twoClassData(m, n int, noise float64, seed int64) (*extdict.Matrix, []float64) {
-	// Deterministic pseudo-randomness without importing internal packages:
-	// a splitmix-style generator is enough for demo data.
-	state := uint64(seed)
-	next := func() float64 {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		return float64(z>>11) / (1 << 53)
-	}
-	gauss := func() float64 {
-		// Box-Muller.
-		u1, u2 := next(), next()
-		if u1 < 1e-12 {
-			u1 = 1e-12
-		}
-		return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	}
-
-	u := make([]float64, m)
-	v := make([]float64, m)
-	for i := range u {
-		u[i] = gauss()
-		v[i] = gauss()
-	}
-	norm := func(x []float64) {
-		s := 0.0
-		for _, e := range x {
-			s += e * e
-		}
-		s = math.Sqrt(s)
-		for i := range x {
-			x[i] /= s
-		}
-	}
-	norm(u)
-	d := 0.0
-	for i := range v {
-		d += u[i] * v[i]
-	}
-	for i := range v {
-		v[i] -= d * u[i]
-	}
-	norm(v)
-
-	a := extdict.NewMatrix(m, n)
-	labels := make([]float64, n)
-	col := make([]float64, m)
-	for j := 0; j < n; j++ {
-		base := u
-		labels[j] = 1
-		if j%2 == 1 {
-			base = v
-			labels[j] = -1
-		}
-		for i := range col {
-			col[i] = base[i] + noise*gauss()
-		}
-		norm(col)
-		a.SetCol(j, col)
-	}
-	return a, labels
 }

@@ -15,7 +15,7 @@
 //
 // # Quick start
 //
-//	data := extdict.NewMatrix(rows, cols)      // fill, column-normalize
+//	data := extdict.NewMatrixData(rows, cols, values) // row-major values
 //	data.NormalizeColumns()
 //	platform := extdict.NewPlatform(8, 8)      // 8 nodes × 8 cores
 //	model, err := extdict.Fit(data, platform, extdict.Options{Epsilon: 0.1})
@@ -44,9 +44,6 @@ import (
 // of dimension M.
 type Matrix = mat.Dense
 
-// NewMatrix returns a zeroed rows×cols matrix.
-func NewMatrix(rows, cols int) *Matrix { return mat.NewDense(rows, cols) }
-
 // NewMatrixData wraps data (length rows*cols, row-major) as a matrix without
 // copying.
 func NewMatrixData(rows, cols int, data []float64) *Matrix {
@@ -62,10 +59,6 @@ type Platform = cluster.Platform
 func NewPlatform(nodes, coresPerNode int) Platform {
 	return cluster.NewPlatform(nodes, coresPerNode)
 }
-
-// PaperPlatforms returns the four configurations the paper's evaluation
-// sweeps: 1×1, 1×4, 2×8, and 8×8 nodes×cores.
-func PaperPlatforms() []Platform { return cluster.PaperPlatforms() }
 
 // Objective selects which cost the auto-tuner minimizes.
 type Objective = perf.Objective

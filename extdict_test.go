@@ -146,34 +146,6 @@ func TestSolvePCAViaFacade(t *testing.T) {
 	}
 }
 
-func TestSolveElasticNetViaFacade(t *testing.T) {
-	data := demoData(t, 24, 120, 20)
-	plat := NewPlatform(1, 2)
-	r := rng.New(21)
-	y := make([]float64, 24)
-	for i := range y {
-		y[i] = r.NormFloat64()
-	}
-	op := DenseGramOperator(data, plat)
-	ridge := SolveElasticNet(op, data, y, ElasticNetOptions{Lambda2: 5, MaxIters: 400})
-	lasso := SolveElasticNet(op, data, y, ElasticNetOptions{Lambda1: 5, MaxIters: 400})
-	if ridge.Iters == 0 || lasso.Iters == 0 {
-		t.Fatal("solves did not run")
-	}
-	nz := func(x []float64) int {
-		n := 0
-		for _, v := range x {
-			if v != 0 {
-				n++
-			}
-		}
-		return n
-	}
-	if nz(lasso.X) >= nz(ridge.X) {
-		t.Fatalf("ℓ₁ variant not sparser: %d vs %d", nz(lasso.X), nz(ridge.X))
-	}
-}
-
 func TestPredictOnOtherPlatforms(t *testing.T) {
 	data := demoData(t, 32, 300, 40)
 	model, err := Fit(data, NewPlatform(1, 1), Options{Epsilon: 0.1, L: 90, Workers: 2, Seed: 41})

@@ -139,7 +139,6 @@ func (s *Stats) Accumulate(o Stats) {
 type Comm struct {
 	platform Platform
 	p        int
-	speeds   []float64 // per-rank relative flop rates
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -231,13 +230,12 @@ func (k collKind) String() string {
 
 // NewComm returns a communicator for the given platform.
 func NewComm(p Platform) *Comm {
-	if err := p.Validate(); err != nil {
+	if err := p.Topology.Validate(); err != nil {
 		panic(err)
 	}
 	c := &Comm{
 		platform:      p,
 		p:             p.Topology.P(),
-		speeds:        p.RankSpeeds(),
 		contrib:       make([][]float64, p.Topology.P()),
 		dst:           make([][]float64, p.Topology.P()),
 		sinceFlops:    make([]int64, p.Topology.P()),
@@ -259,16 +257,6 @@ func (c *Comm) P() int { return c.p }
 // so long solver runs do not retain per-phase records. Must not be called
 // while a Run is in flight.
 func (c *Comm) EnableTrace() { c.tracing = true }
-
-// Platform returns the platform this communicator models.
-func (c *Comm) Platform() Platform { return c.platform }
-
-// RankSpeeds returns the per-rank relative flop rates of this
-// communicator's ranks (a copy). For a freshly built communicator these
-// are the platform's rank speeds; for one produced by Shrink they are the
-// survivors' speeds, so data partitioners stay load-balanced — and sized
-// to the live rank count — after a crash.
-func (c *Comm) RankSpeeds() []float64 { return append([]float64(nil), c.speeds...) }
 
 // Run executes body once per rank, concurrently, and returns the collected
 // statistics. Statistics reset on each Run.
@@ -306,8 +294,8 @@ func (c *Comm) Run(body func(r *Rank)) Stats {
 	// here if the run aborted between injection and the phase close).
 	var tail float64
 	for i, f := range c.sinceFlops {
-		t := float64(f)/c.speeds[i]*c.platform.Cost.FlopTime +
-			float64(c.sinceBytes[i])/c.speeds[i]*c.platform.Cost.MemByteTime +
+		t := float64(f)*c.platform.Cost.FlopTime +
+			float64(c.sinceBytes[i])*c.platform.Cost.MemByteTime +
 			c.sinceDelay[i]
 		if t > tail {
 			tail = t
@@ -395,20 +383,19 @@ func (c *Comm) abortLocked(v any) {
 }
 
 // closePhase charges the bulk-synchronous cost of the completed phase: the
-// slowest rank's accumulated compute (scaled by its node's speed on
-// heterogeneous platforms) plus any injected virtual delay, the
+// slowest rank's accumulated compute plus any injected virtual delay, the
 // critical-path word cost of the collective, and the reduction-tree
-// latency. Per-rank time is formed as (flops/speed)·FlopTime +
-// (bytes/speed)·MemByteTime + delay, so an injected slowdown competes for
-// the critical path exactly like slow compute; with no delays or byte
-// claims this is bit-identical to scaling the max by FlopTime afterwards.
+// latency. Per-rank time is formed as flops·FlopTime + bytes·MemByteTime +
+// delay, so an injected slowdown competes for the critical path exactly
+// like slow compute; with no delays or byte claims this is bit-identical
+// to scaling the max by FlopTime afterwards.
 // It also advances the fault clock: the next collective entered has the
 // next injection index. Callers hold c.mu.
 func (c *Comm) closePhase(vecLen int) {
 	var maxT float64
 	for i, f := range c.sinceFlops {
-		t := float64(f)/c.speeds[i]*c.platform.Cost.FlopTime +
-			float64(c.sinceBytes[i])/c.speeds[i]*c.platform.Cost.MemByteTime +
+		t := float64(f)*c.platform.Cost.FlopTime +
+			float64(c.sinceBytes[i])*c.platform.Cost.MemByteTime +
 			c.sinceDelay[i]
 		if t > maxT {
 			maxT = t

@@ -199,9 +199,6 @@ func (c *Comm) InstallFaultPlan(plan *FaultPlan) {
 	c.rebuildPending()
 }
 
-// FaultPlanActive reports whether a fault plan is armed on the communicator.
-func (c *Comm) FaultPlanActive() bool { return c.plan != nil }
-
 // rebuildPending indexes the unfired faults: crashes and slowdowns by exact
 // phase for O(1) lookup at collective entry, corruptions as an ordered list
 // consulted at Reduce finalize. Both keep plan order, so multiple faults
@@ -311,17 +308,17 @@ func (c *Comm) hasCorruption() bool {
 }
 
 // Shrink returns a fresh communicator over the survivors after rank dead
-// crashed: P-1 ranks, the survivors' speeds, the same platform cost model,
-// and the same fault plan with the dead rank's pending faults dropped,
-// surviving ranks renumbered past the gap, and the fault clock carried
-// over (the schedule keeps its position on the solve's timeline). Faults
-// already fired stay consumed. Tracing stays enabled if it was. The
-// original communicator is left untouched.
+// crashed: P-1 ranks, the same platform cost model, and the same fault
+// plan with the dead rank's pending faults dropped, surviving ranks
+// renumbered past the gap, and the fault clock carried over (the schedule
+// keeps its position on the solve's timeline). Faults already fired stay
+// consumed. Tracing stays enabled if it was. The original communicator is
+// left untouched.
 //
 // Rank-to-node assignment keeps the node-major rule on the shrunk ID space,
 // so Node() remains a modeling approximation after a shrink; the modeled
-// cost uses the carried per-rank speeds and the platform's word/latency
-// constants, which are unaffected.
+// cost uses the platform's flop, word and latency constants, which are
+// unaffected.
 func (c *Comm) Shrink(dead int) *Comm {
 	if c.p <= 1 {
 		panic("cluster: cannot shrink a single-rank communicator")
@@ -330,13 +327,9 @@ func (c *Comm) Shrink(dead int) *Comm {
 		panic(fmt.Sprintf("cluster: Shrink rank %d out of range [0,%d)", dead, c.p))
 	}
 	p := c.p - 1
-	speeds := make([]float64, 0, p)
-	speeds = append(speeds, c.speeds[:dead]...)
-	speeds = append(speeds, c.speeds[dead+1:]...)
 	n := &Comm{
 		platform:      c.platform,
 		p:             p,
-		speeds:        speeds,
 		contrib:       make([][]float64, p),
 		dst:           make([][]float64, p),
 		sinceFlops:    make([]int64, p),

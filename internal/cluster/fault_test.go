@@ -147,9 +147,6 @@ func TestEmptyFaultPlanChangesNothing(t *testing.T) {
 	clean := NewComm(NewPlatform(2, 2))
 	armed := NewComm(NewPlatform(2, 2))
 	armed.InstallFaultPlan(&FaultPlan{Seed: 99})
-	if !armed.FaultPlanActive() {
-		t.Fatal("empty plan should still be active")
-	}
 	var a, b Stats
 	watchdog(t, func() {
 		a = clean.Run(allreduceBody(4, 16))
@@ -241,7 +238,7 @@ func TestShrinkRemapsSurvivingFaults(t *testing.T) {
 	if s.P() != 2 {
 		t.Fatalf("shrunk P = %d, want 2", s.P())
 	}
-	if !s.FaultPlanActive() {
+	if s.plan == nil {
 		t.Fatal("shrunk comm lost the fault plan")
 	}
 	// Rank 2's slowdown renumbered to rank 1; rank 0's corruption kept.

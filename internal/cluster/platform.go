@@ -39,57 +39,6 @@ func (t Topology) Validate() error {
 	return nil
 }
 
-// Validate reports invalid platform configurations.
-func (p Platform) Validate() error {
-	if err := p.Topology.Validate(); err != nil {
-		return err
-	}
-	if p.Cost.NodeSpeed != nil {
-		if len(p.Cost.NodeSpeed) != p.Topology.Nodes {
-			return fmt.Errorf("cluster: %d node speeds for %d nodes",
-				len(p.Cost.NodeSpeed), p.Topology.Nodes)
-		}
-		for i, s := range p.Cost.NodeSpeed {
-			if s <= 0 {
-				return fmt.Errorf("cluster: node %d has non-positive speed %v", i, s)
-			}
-		}
-	}
-	return nil
-}
-
-// RankSpeed returns the relative flop rate of the given rank (1 for
-// homogeneous clusters).
-func (p Platform) RankSpeed(rank int) float64 {
-	if p.Cost.NodeSpeed == nil {
-		return 1
-	}
-	return p.Cost.NodeSpeed[rank/p.Topology.CoresPerNode]
-}
-
-// RankSpeeds returns every rank's relative flop rate.
-func (p Platform) RankSpeeds() []float64 {
-	out := make([]float64, p.Topology.P())
-	for r := range out {
-		out[r] = p.RankSpeed(r)
-	}
-	return out
-}
-
-// Heterogeneous reports whether ranks differ in speed.
-func (p Platform) Heterogeneous() bool {
-	if p.Cost.NodeSpeed == nil {
-		return false
-	}
-	first := p.Cost.NodeSpeed[0]
-	for _, s := range p.Cost.NodeSpeed[1:] {
-		if s != first {
-			return true
-		}
-	}
-	return false
-}
-
 // CostModel converts operation counts into modeled time and energy.
 // The defaults are calibrated to commodity-cluster ratios (≈1 GFLOP/s/core
 // effective dense throughput, ~10 GB/s intra-node and ~1 GB/s inter-node
@@ -122,15 +71,6 @@ type CostModel struct {
 	// (2 GiB, a deliberately modest commodity-node share so the paper-scale
 	// reference shapes exercise both verdicts).
 	MemBytes int64
-
-	// NodeSpeed optionally makes the cluster heterogeneous: entry i
-	// multiplies node i's flop rate (1 = baseline, 2 = twice as fast).
-	// nil means a homogeneous cluster. The distributed operators
-	// partition work proportionally to these speeds, and the
-	// bulk-synchronous accounting divides each rank's flop time by its
-	// node's speed — the "heterogeneous architectures" the paper's
-	// platform-aware mapping targets (§I, §III).
-	NodeSpeed []float64
 }
 
 // DefaultCostModel returns the calibrated commodity-cluster cost model.
@@ -204,13 +144,6 @@ func (p Platform) Latency() float64 {
 	}
 	return p.Cost.IntraLatency
 }
-
-// RbfTime returns the platform's word-per-flop time ratio R_bf^time of
-// Eq. 2: how many flops one communicated word is worth in runtime.
-func (p Platform) RbfTime() float64 { return p.WordTime() / p.Cost.FlopTime }
-
-// RbfEnergy returns the word-per-flop energy ratio R_bf^energy of Eq. 3.
-func (p Platform) RbfEnergy() float64 { return p.WordEnergy() / p.Cost.FlopEnergy }
 
 // DefaultMemBytes is the per-rank RAM assumed when a cost model leaves
 // MemBytes zero: 2 GiB.

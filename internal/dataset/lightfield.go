@@ -26,12 +26,6 @@ type LightFieldParams struct {
 	SceneSize  int // virtual scene side length in pixels
 }
 
-// DefaultLightFieldParams mirrors the paper's 5×5-camera, 8×8-patch setup
-// at laptop scale.
-func DefaultLightFieldParams() LightFieldParams {
-	return LightFieldParams{Grid: 5, Patch: 8, NumPatches: 2048, NumSources: 24, SceneSize: 256}
-}
-
 // LightField is a generated plenoptic dataset.
 type LightField struct {
 	Params LightFieldParams

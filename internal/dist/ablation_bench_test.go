@@ -52,43 +52,3 @@ func BenchmarkAblationCaseBoundary(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblationHeterogeneous quantifies load balancing on a skewed
-// cluster: one node runs 4× slower than the other three. The speed-weighted
-// partition keeps every rank's phase time equal; the even split leaves the
-// slow node on the critical path.
-func BenchmarkAblationHeterogeneous(b *testing.B) {
-	u, err := dataset.GenerateUnion(
-		dataset.UnionParams{M: 64, N: 8192, Ks: []int{3, 4}}, rng.New(9))
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float64, 8192)
-	for i := range x {
-		x[i] = 1
-	}
-	y := make([]float64, 8192)
-
-	skew := cluster.NewPlatform(4, 1)
-	skew.Cost.NodeSpeed = []float64{0.25, 1, 1, 1}
-
-	b.Run("balanced", func(b *testing.B) {
-		g := NewDenseGram(cluster.NewComm(skew), u.A)
-		var modeled float64
-		for i := 0; i < b.N; i++ {
-			modeled = g.Apply(x, y).ModeledTime
-		}
-		b.ReportMetric(modeled*1e6, "modeled-µs")
-	})
-	b.Run("even-split-penalty", func(b *testing.B) {
-		// The even split's modeled time: rank 0's quarter share at 1/4
-		// speed dominates each phase.
-		uniform := NewDenseGram(cluster.NewComm(cluster.NewPlatform(4, 1)), u.A)
-		var penalty float64
-		for i := 0; i < b.N; i++ {
-			st := uniform.Apply(x, y)
-			penalty = st.ModeledTime + 3*float64(st.MaxFlops)*skew.Cost.FlopTime
-		}
-		b.ReportMetric(penalty*1e6, "modeled-µs")
-	})
-}

@@ -37,40 +37,16 @@ func BlockRange(n, p, i int) (lo, hi int) {
 	return i * n / p, (i + 1) * n / p
 }
 
-// WeightedBlockRanges partitions [0, n) into len(weights) contiguous ranges
-// whose sizes are proportional to the weights — the load-balanced mapping
-// for heterogeneous platforms where ranks differ in flop rate. With uniform
-// weights it reduces exactly to BlockRange.
-func WeightedBlockRanges(n int, weights []float64) [][2]int {
-	p := len(weights)
-	out := make([][2]int, p)
-	var total float64
-	for _, w := range weights {
-		total += w
-	}
-	acc := 0.0
-	prev := 0
-	for i, w := range weights {
-		acc += w
-		hi := int(acc / total * float64(n))
-		if i == p-1 {
-			hi = n
-		}
-		if hi < prev {
-			hi = prev
-		}
-		out[i] = [2]int{prev, hi}
-		prev = hi
+// rangesFor partitions n columns across the communicator's ranks by
+// BlockRange. It asks the communicator — not the platform — for the rank
+// count, so a communicator shrunk after a rank crash partitions over
+// exactly the surviving ranks.
+func rangesFor(comm *cluster.Comm, n int) [][2]int {
+	out := make([][2]int, comm.P())
+	for i := range out {
+		out[i][0], out[i][1] = BlockRange(n, len(out), i)
 	}
 	return out
-}
-
-// rangesFor partitions n columns across the communicator's ranks,
-// load-balanced by rank speed on heterogeneous platforms. It asks the
-// communicator — not the platform — for the speeds, so a communicator
-// shrunk after a rank crash partitions over exactly the surviving ranks.
-func rangesFor(comm *cluster.Comm, n int) [][2]int {
-	return WeightedBlockRanges(n, comm.RankSpeeds())
 }
 
 // DenseGram is the untransformed baseline: y = AᵀA·x with A partitioned by
@@ -80,7 +56,7 @@ func rangesFor(comm *cluster.Comm, n int) [][2]int {
 type DenseGram struct {
 	comm    *cluster.Comm
 	blocks  []*mat.Dense // per-rank column blocks of A
-	ranges  [][2]int     // per-rank column ranges (speed-weighted)
+	ranges  [][2]int     // per-rank column ranges (BlockRange)
 	scratch [][]float64  // per-rank M-vector v_i; Apply runs allocation-free
 	n, m    int
 }
@@ -157,7 +133,7 @@ type ExDGram struct {
 	comm    *cluster.Comm
 	d       *mat.Dense
 	blocks  []*sparse.CSC // per-rank column blocks of C
-	ranges  [][2]int      // per-rank column ranges (speed-weighted)
+	ranges  [][2]int      // per-rank column ranges (BlockRange)
 	nnz     []int64       // per-rank nnz
 	scratch []exdScratch  // per-rank buffers; Apply runs allocation-free
 	n       int

@@ -57,6 +57,26 @@ func TestBlockRangeCoversAll(t *testing.T) {
 	}
 }
 
+// TestRangesForShrunkCommIsBlockRange pins the operators' partition to the
+// paper's i·N/P split on a communicator shrunk to 15 ranks: at N = 75 a
+// split computed through floating-point shares gives ranks 10 and 11
+// [50,54) and [54,60) where i·N/P gives [50,55) and [55,60).
+func TestRangesForShrunkCommIsBlockRange(t *testing.T) {
+	comm := cluster.NewComm(cluster.NewPlatform(2, 8)).Shrink(3)
+	if comm.P() != 15 {
+		t.Fatalf("shrunk to %d ranks, want 15", comm.P())
+	}
+	ranges := rangesFor(comm, 75)
+	if len(ranges) != 15 {
+		t.Fatalf("%d ranges for 15 ranks", len(ranges))
+	}
+	for i, rg := range ranges {
+		if lo, hi := BlockRange(75, 15, i); rg != [2]int{lo, hi} {
+			t.Fatalf("rank %d owns %v, want [%d,%d)", i, rg, lo, hi)
+		}
+	}
+}
+
 func TestDenseGramMatchesSerial(t *testing.T) {
 	a := testData(t, 24, 90, 1)
 	r := rng.New(2)
@@ -97,8 +117,8 @@ func TestExDGramMatchesSerialBothCases(t *testing.T) {
 
 	for _, l := range []int{20, 80} { // Case 1 (L≤M) and Case 2 (L>M)
 		tr := fitExD(t, a, l, 0.05)
-		cd := tr.C.Dense()
-		dc := mat.Mul(tr.D, cd)
+		dc := mat.NewDense(tr.D.Rows, tr.C.Cols)
+		mat.MulTo(dc, tr.D, tr.C.Dense())
 		want := dc.MulVecT(dc.MulVec(x, nil), nil) // (DC)ᵀDC·x serially
 
 		for _, plat := range []cluster.Platform{cluster.NewPlatform(1, 1), cluster.NewPlatform(2, 4)} {

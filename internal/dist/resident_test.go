@@ -48,7 +48,6 @@ func TestOperatorResidentMatchesModel(t *testing.T) {
 		n := m + 20 + int(r.Uint64()%80) // keeps the fit overdetermined
 		p := 1 + int(r.Uint64()%5)
 		plat := cluster.NewPlatform(1, p)
-		ranges := WeightedBlockRanges(n, plat.RankSpeeds())
 		a := testData(t, m, n, uint64(300+trial))
 		x := randVec(r, n)
 		y := make([]float64, n)
@@ -56,7 +55,8 @@ func TestOperatorResidentMatchesModel(t *testing.T) {
 		g := NewDenseGram(cluster.NewComm(plat), a)
 		st := applyWatched(t, g, x, y)
 		for i := 0; i < p; i++ {
-			w := int64(ranges[i][1] - ranges[i][0])
+			lo, hi := BlockRange(n, p, i)
+			w := int64(hi - lo)
 			if want := denseGramResident(int64(m), w); st.PeakResidentPerRank[i] != want {
 				t.Fatalf("trial %d DenseGram m=%d n=%d p=%d rank %d: resident %d, want %d",
 					trial, m, n, p, i, st.PeakResidentPerRank[i], want)
@@ -71,7 +71,7 @@ func TestOperatorResidentMatchesModel(t *testing.T) {
 			}
 			st = applyWatched(t, eg, x, y)
 			for i := 0; i < p; i++ {
-				lo, hi := ranges[i][0], ranges[i][1]
+				lo, hi := BlockRange(n, p, i)
 				nnz := int64(tr.C.ColSliceRange(lo, hi).NNZ())
 				want := exdGramResident(int64(m), int64(hi-lo), int64(l), nnz, eg.CaseTwo(), i)
 				if st.PeakResidentPerRank[i] != want {

@@ -20,7 +20,7 @@ import (
 type BatchGram struct {
 	comm    *cluster.Comm
 	a       *mat.Dense
-	ranges  [][2]int    // per-rank column ranges (speed-weighted)
+	ranges  [][2]int    // per-rank column ranges (BlockRange)
 	scratch [][]float64 // per-rank B-vector; Apply runs allocation-free
 	// B is the batch size (paper experiments: 64).
 	B   int

@@ -20,7 +20,7 @@ func TestRelErrorWithinForwardErrorBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.New(28)
-	near := tr.Reconstruct()
+	near := reconstruct(tr)
 	for i := range near.Data {
 		near.Data[i] *= 1 + math.Ldexp(r.NormFloat64(), -40)
 	}

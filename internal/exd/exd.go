@@ -200,24 +200,6 @@ func (t *Transform) errorTerms(a, dt *mat.Dense, lo, hi int, dev, sq []float64) 
 	}
 }
 
-// Reconstruct materializes D·C as a dense matrix (test/inspection helper;
-// production paths never form it).
-func (t *Transform) Reconstruct() *mat.Dense {
-	out := mat.NewDense(t.D.Rows, t.C.Cols)
-	col := make([]float64, t.D.Rows)
-	for j := 0; j < t.C.Cols; j++ {
-		mat.Zero(col)
-		for ptr := t.C.ColPtr[j]; ptr < t.C.ColPtr[j+1]; ptr++ {
-			atom, v := t.C.RowIdx[ptr], t.C.Val[ptr]
-			for i := range col {
-				col[i] += v * t.D.At(i, atom)
-			}
-		}
-		out.SetCol(j, col)
-	}
-	return out
-}
-
 // MemoryWords returns the storage footprint of the transform in float64
 // words, matching the paper's Table III accounting: M·L for D plus two words
 // per nonzero of C (value + index) plus column pointers.

@@ -24,22 +24,6 @@ type funcNode struct {
 	params []types.Object
 }
 
-// callees returns the resolved call edges out of the node's body, in source
-// order. Edges through function values are not resolved — only direct calls
-// to declared functions and methods.
-func (n *funcNode) callees(cg *callGraph) []*funcNode {
-	var out []*funcNode
-	ast.Inspect(n.decl.Body, func(x ast.Node) bool {
-		if call, ok := x.(*ast.CallExpr); ok {
-			if c := cg.calleeOf(n.pkg, call); c != nil {
-				out = append(out, c)
-			}
-		}
-		return true
-	})
-	return out
-}
-
 // callGraph indexes every declared function and method of a program by its
 // package-qualified id.
 type callGraph struct {
@@ -244,16 +228,6 @@ func (p *Program) summaryFor(pkg *Package, call *ast.CallExpr) (*funcNode, *summ
 		return nil, nil
 	}
 	return node, p.summaries[node.id]
-}
-
-// packageByPath returns the program package with the import path, or nil.
-func (p *Program) packageByPath(path string) *Package {
-	for _, pkg := range p.pkgs {
-		if pkg.ImportPath == path {
-			return pkg
-		}
-	}
-	return nil
 }
 
 // isTestFile reports whether the position's file is a _test.go file.

@@ -1,6 +1,25 @@
 package lint
 
-import "testing"
+import (
+	"go/ast"
+	"testing"
+)
+
+// callees returns the resolved call edges out of the node's body, in source
+// order. Edges through function values are not resolved — only direct calls
+// to declared functions and methods.
+func (n *funcNode) callees(cg *callGraph) []*funcNode {
+	var out []*funcNode
+	ast.Inspect(n.decl.Body, func(x ast.Node) bool {
+		if call, ok := x.(*ast.CallExpr); ok {
+			if c := cg.calleeOf(n.pkg, call); c != nil {
+				out = append(out, c)
+			}
+		}
+		return true
+	})
+	return out
+}
 
 // TestCallGraphResolvesDistHelpers proves the whole-program graph indexes
 // dist's rank helpers under stable ids and resolves method calls to them.

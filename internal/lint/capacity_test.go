@@ -112,13 +112,13 @@ func TestCapacityAgreesWithRuntime(t *testing.T) {
 		t.Fatalf("runtime reported %d resident ranks, want %d", len(st.PeakResidentPerRank), P)
 	}
 
-	ranges := dist.WeightedBlockRanges(N, plat.RankSpeeds())
 	for i := 0; i < P; i++ {
+		lo, hi := dist.BlockRange(N, P, i)
 		bind := map[string]int64{
 			"m": M, "l": L,
-			"NNZ(blocks[])": int64(tr.C.ColSliceRange(ranges[i][0], ranges[i][1]).NNZ()),
-			"ranges[][0]":   int64(ranges[i][0]),
-			"ranges[][1]":   int64(ranges[i][1]),
+			"NNZ(blocks[])": int64(tr.C.ColSliceRange(lo, hi).NNZ()),
+			"ranges[][0]":   int64(lo),
+			"ranges[][1]":   int64(hi),
 		}
 		var static int64
 		for _, term := range claimTerms(fc.terms) {

@@ -45,10 +45,10 @@ func TestCostModelSymbolicFlops(t *testing.T) {
 
 	// Evaluate the symbolic terms per rank, binding the per-rank sparse
 	// population through the same column partition the constructor uses.
-	ranges := dist.WeightedBlockRanges(N, plat.RankSpeeds())
 	var total int64
 	for i := 0; i < P; i++ {
-		nnz := tr.C.ColSliceRange(ranges[i][0], ranges[i][1]).NNZ()
+		lo, hi := dist.BlockRange(N, P, i)
+		nnz := tr.C.ColSliceRange(lo, hi).NNZ()
 		bind := map[string]int64{"m": M, "l": L, "NNZ(blocks[])": int64(nnz)}
 		for _, term := range fc.terms {
 			if term.claim == nil || term.unsupported {

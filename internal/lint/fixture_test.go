@@ -27,7 +27,7 @@ func runFixture(t *testing.T, a *Analyzer, fixture, importPath string) {
 	pkg := parseFixture(t, fixture, importPath)
 	f := pkg.Files[0]
 	fset := pkg.Fset
-	findings := Run(pkg, []*Analyzer{a})
+	findings := runOne(pkg, []*Analyzer{a})
 
 	// line -> pending expectation regexes.
 	wants := make(map[int][]string)
@@ -88,7 +88,7 @@ func matchWant(t *testing.T, wants map[int][]string, fd Finding) bool {
 func runFixtureExpectNone(t *testing.T, a *Analyzer, fixture, importPath string) {
 	t.Helper()
 	pkg := parseFixture(t, fixture, importPath)
-	for _, fd := range Run(pkg, []*Analyzer{a}) {
+	for _, fd := range runOne(pkg, []*Analyzer{a}) {
 		t.Errorf("%s as %s: unexpected finding: %s", filepath.Base(fixture), importPath, fd)
 	}
 }
@@ -114,8 +114,25 @@ func parseFixture(t *testing.T, fixture, importPath string) *Package {
 	if err != nil {
 		t.Fatalf("module root: %v", err)
 	}
-	pkg.TypeCheck(root, module)
+	pkg.typeCheck(newTypeChecker(root, module))
 	return pkg
+}
+
+// runOne executes the analyzers over one package as a single-package
+// program: suppressed findings are dropped, and malformed ignore directives
+// are reported under the "directive" check.
+func runOne(pkg *Package, analyzers []*Analyzer) []Finding {
+	return RunProgram(NewProgram([]*Package{pkg}), pkg, analyzers)
+}
+
+// packageByPath returns the program package with the import path, or nil.
+func (p *Program) packageByPath(path string) *Package {
+	for _, pkg := range p.pkgs {
+		if pkg.ImportPath == path {
+			return pkg
+		}
+	}
+	return nil
 }
 
 // fixturePath resolves a file under testdata/.

@@ -213,15 +213,6 @@ func ImportName(file *ast.File, path string) (string, bool) {
 	return "", false
 }
 
-// Run executes every analyzer over the package and returns the surviving
-// findings, sorted by position: suppressed findings are dropped, and
-// malformed ignore directives are reported under the "directive" check.
-// Interprocedural analyzers see a single-package program; use RunProgram to
-// resolve helpers across package boundaries.
-func Run(pkg *Package, analyzers []*Analyzer) []Finding {
-	return RunProgram(NewProgram([]*Package{pkg}), pkg, analyzers)
-}
-
 // RunProgram executes every analyzer over one package of a whole-module
 // program, so interprocedural analyzers (collective, schedule, costmodel)
 // resolve calls into every package the program was built from.

@@ -30,7 +30,7 @@ func TestRegistry(t *testing.T) {
 
 func TestMalformedDirective(t *testing.T) {
 	pkg := parseFixture(t, fixturePath("directive", "malformed.go"), "extdict/internal/solver")
-	findings := Run(pkg, []*Analyzer{NoFloatEq})
+	findings := runOne(pkg, []*Analyzer{NoFloatEq})
 	var gotDirective, gotFloat bool
 	for _, f := range findings {
 		switch f.Check {
@@ -83,7 +83,7 @@ func TestModuleRootAndLoad(t *testing.T) {
 
 func TestFindingString(t *testing.T) {
 	pkg := parseFixture(t, fixturePath("nofloateq", "fixture.go"), "extdict/internal/solver")
-	findings := Run(pkg, []*Analyzer{NoFloatEq})
+	findings := runOne(pkg, []*Analyzer{NoFloatEq})
 	if len(findings) == 0 {
 		t.Fatal("fixture produced no findings")
 	}

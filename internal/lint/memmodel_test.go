@@ -49,15 +49,15 @@ func TestMemModelSymbolicBytes(t *testing.T) {
 	// Evaluate the symbolic terms per rank; unlike the flop test the byte
 	// polynomials also carry the rank's column window (ranges[][0/1]) for
 	// the vector-end traffic, so bind those per rank too.
-	ranges := dist.WeightedBlockRanges(N, plat.RankSpeeds())
 	var total int64
 	for i := 0; i < P; i++ {
-		nnz := tr.C.ColSliceRange(ranges[i][0], ranges[i][1]).NNZ()
+		lo, hi := dist.BlockRange(N, P, i)
+		nnz := tr.C.ColSliceRange(lo, hi).NNZ()
 		bind := map[string]int64{
 			"m": M, "l": L,
 			"NNZ(blocks[])": int64(nnz),
-			"ranges[][0]":   int64(ranges[i][0]),
-			"ranges[][1]":   int64(ranges[i][1]),
+			"ranges[][0]":   int64(lo),
+			"ranges[][1]":   int64(hi),
 		}
 		for _, term := range fc.terms {
 			if term.claim == nil || term.unsupported {
@@ -92,8 +92,9 @@ func TestMemModelSymbolicBytes(t *testing.T) {
 	// trip on rank 0 (16-byte operand pairs over nnz and the dense block).
 	var want int64
 	for i := 0; i < P; i++ {
-		ni := int64(ranges[i][1] - ranges[i][0])
-		nnz := int64(tr.C.ColSliceRange(ranges[i][0], ranges[i][1]).NNZ())
+		lo, hi := dist.BlockRange(N, P, i)
+		ni := int64(hi - lo)
+		nnz := int64(tr.C.ColSliceRange(lo, hi).NNZ())
 		want += 16*nnz + 8*(2*ni+L+1) // C_i·x_i
 		want += 16*nnz + 8*(L+2*ni+1) // C_iᵀ·v³
 	}

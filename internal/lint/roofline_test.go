@@ -105,14 +105,14 @@ func TestRooflineAgreesWithRuntimeCounters(t *testing.T) {
 		}
 		return total
 	}
-	ranges := dist.WeightedBlockRanges(N, plat.RankSpeeds())
 	var staticFlops, staticBytes int64
 	for i := 0; i < P; i++ {
+		lo, hi := dist.BlockRange(N, P, i)
 		bind := map[string]int64{
 			"m": M, "l": L,
-			"NNZ(blocks[])": int64(tr.C.ColSliceRange(ranges[i][0], ranges[i][1]).NNZ()),
-			"ranges[][0]":   int64(ranges[i][0]),
-			"ranges[][1]":   int64(ranges[i][1]),
+			"NNZ(blocks[])": int64(tr.C.ColSliceRange(lo, hi).NNZ()),
+			"ranges[][0]":   int64(lo),
+			"ranges[][1]":   int64(hi),
 		}
 		staticFlops += sum(fc, bind, i)
 		staticBytes += sum(bc, bind, i)

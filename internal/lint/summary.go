@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // dep is the interprocedural taint lattice element: how a value's
@@ -843,12 +842,4 @@ func describeVia(via string) string {
 // sortEffects orders effects by position for deterministic reporting.
 func sortEffects(effects []effect) {
 	sort.SliceStable(effects, func(i, j int) bool { return effects[i].pos < effects[j].pos })
-}
-
-// importPathSuffix trims the module prefix for compact display names.
-func importPathSuffix(path string) string {
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		return path[i+1:]
-	}
-	return path
 }

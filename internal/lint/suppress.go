@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/token"
-	"strings"
-)
+import "strings"
 
 // directiveSet indexes //lint:ignore directives by file and line. A directive
 // suppresses matching findings on its own line and on the line directly
@@ -70,9 +67,4 @@ func collectDirectives(pkg *Package) (directiveSet, []Finding) {
 		}
 	}
 	return dirs, bad
-}
-
-// position helper shared by analyzers that need a file name for a node.
-func filenameOf(fset *token.FileSet, pos token.Pos) string {
-	return fset.Position(pos).Filename
 }

@@ -34,7 +34,7 @@ func TestDirectiveOnLastLineOfFile(t *testing.T) {
 		"var tol = 0.1\n" +
 		"var bad = tol == 0.1 //lint:ignore nofloateq fixture compares an exact sentinel"
 	pkg := parseSrc(t, "last.go", src, "extdict/internal/solver")
-	if findings := Run(pkg, []*Analyzer{NoFloatEq}); len(findings) != 0 {
+	if findings := runOne(pkg, []*Analyzer{NoFloatEq}); len(findings) != 0 {
 		t.Fatalf("last-line directive did not suppress: %v", findings)
 	}
 }
@@ -50,14 +50,14 @@ func f(a, b float64) {
 }
 `
 	pkg := parseSrc(t, "multi.go", src, "extdict/internal/solver")
-	findings := Run(pkg, []*Analyzer{NoFloatEq, PanicMsg})
+	findings := runOne(pkg, []*Analyzer{NoFloatEq, PanicMsg})
 	if len(findings) != 0 {
 		t.Fatalf("multi-check directive did not suppress both: %v", findings)
 	}
 	// The same source without the directive fires both checks.
 	bare := strings.Replace(src, "\t//lint:ignore nofloateq,panicmsg sentinel comparison and legacy message, both audited\n", "", 1)
 	pkg = parseSrc(t, "multi.go", bare, "extdict/internal/solver")
-	if findings := Run(pkg, []*Analyzer{NoFloatEq, PanicMsg}); len(findings) != 2 {
+	if findings := runOne(pkg, []*Analyzer{NoFloatEq, PanicMsg}); len(findings) != 2 {
 		t.Fatalf("expected both checks to fire without the directive, got %v", findings)
 	}
 }
@@ -75,7 +75,7 @@ var cfg = gate{
 }
 `
 	pkg := parseSrc(t, "lit.go", src, "extdict/internal/solver")
-	if findings := Run(pkg, []*Analyzer{NoFloatEq}); len(findings) != 0 {
+	if findings := runOne(pkg, []*Analyzer{NoFloatEq}); len(findings) != 0 {
 		t.Fatalf("struct-literal directive did not suppress: %v", findings)
 	}
 }
@@ -102,7 +102,7 @@ func b() {
 	}
 	pkg := &Package{Dir: dir, ImportPath: "demo", Fset: fset, Files: []*ast.File{f}}
 
-	findings := Run(pkg, []*Analyzer{PanicMsg})
+	findings := runOne(pkg, []*Analyzer{PanicMsg})
 	if len(findings) != 1 {
 		t.Fatalf("want exactly the unsuppressed finding, got %v", findings)
 	}

@@ -102,9 +102,9 @@ func (tc *typeChecker) parseNonTestFiles(dir string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// TypeCheck populates pkg.Types, pkg.TypesInfo, and pkg.TypeErrors by
+// typeCheck populates pkg.Types, pkg.TypesInfo, and pkg.TypeErrors by
 // running go/types over the package's parsed files, resolving module-local
-// imports from source under root. Load calls it for every package; tests
+// imports from source through tc. Load calls it for every package; tests
 // that assemble fixture packages by hand call it directly.
 //
 // Files are grouped by package clause: in-package test files (package foo
@@ -114,10 +114,6 @@ func (tc *typeChecker) parseNonTestFiles(dir string) ([]*ast.File, error) {
 // analyzers never care which group a node came from. Type errors are
 // collected, not fatal — analyzers see partial info and degrade to
 // syntactic behavior where it is missing.
-func (pkg *Package) TypeCheck(root, module string) {
-	pkg.typeCheck(newTypeChecker(root, module))
-}
-
 func (pkg *Package) typeCheck(tc *typeChecker) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),

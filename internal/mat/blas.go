@@ -80,16 +80,6 @@ func mulVecTRows(m *Dense, x, y []float64, lo, hi int) {
 	}
 }
 
-// Mul computes C = A·B into a freshly allocated matrix.
-func Mul(a, b *Dense) *Dense {
-	if a.Cols != b.Rows {
-		panic("mat: Mul dimension mismatch")
-	}
-	c := NewDense(a.Rows, b.Cols)
-	MulTo(c, a, b)
-	return c
-}
-
 // MulTo computes dst = A·B. dst must be A.Rows×B.Cols and must not alias A
 // or B. The product runs in column tiles of mulToTileJ so the streamed
 // panels stay cache-resident; within a tile each dst row is updated by four
@@ -114,40 +104,6 @@ func ATA(a *Dense) *Dense {
 	n := a.Cols
 	g := NewDense(n, n)
 	ataPanel(a, g, 0, n)
-	mirrorLower(g)
-	return g
-}
-
-// GramColumns computes the k×k Gram matrix of the selected columns of A:
-// G[p][q] = <A[:,cols[p]], A[:,cols[q]]>. Used by Batch-OMP, which needs the
-// dictionary Gram matrix DᵀD. Four rows of A are blocked per pass, mirroring
-// ataPanel but with gathered column indices.
-func GramColumns(a *Dense, cols []int) *Dense {
-	k := len(cols)
-	g := NewDense(k, k)
-	i := 0
-	for ; i+4 <= a.Rows; i += 4 {
-		r0, r1, r2, r3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
-		for p := 0; p < k; p++ {
-			cp := cols[p]
-			v0, v1, v2, v3 := r0[cp], r1[cp], r2[cp], r3[cp]
-			grow := g.Row(p)
-			for q := p; q < k; q++ {
-				cq := cols[q]
-				grow[q] += (v0*r0[cq] + v1*r1[cq]) + (v2*r2[cq] + v3*r3[cq])
-			}
-		}
-	}
-	for ; i < a.Rows; i++ {
-		row := a.Row(i)
-		for p := 0; p < k; p++ {
-			vp := row[cols[p]]
-			grow := g.Row(p)
-			for q := p; q < k; q++ {
-				grow[q] += vp * row[cols[q]]
-			}
-		}
-	}
 	mirrorLower(g)
 	return g
 }

@@ -189,28 +189,3 @@ func (c *Cholesky) Factorize(s *Dense) error {
 	c.n = n
 	return nil
 }
-
-// SolveLeastSquares solves min_x ‖A·x - b‖₂ via the normal equations
-// AᵀA·x = Aᵀb with a Cholesky factorization, ridge-regularized by eps·I for
-// numerical robustness (pass eps = 0 for the exact normal equations).
-// It is the pseudo-inverse application D⁺·b used by the CSS baselines.
-func SolveLeastSquares(a *Dense, b []float64, eps float64) ([]float64, error) {
-	if len(b) != a.Rows {
-		panic("mat: SolveLeastSquares length mismatch")
-	}
-	g := ATA(a)
-	if eps > 0 {
-		for i := 0; i < g.Rows; i++ {
-			g.Set(i, i, g.At(i, i)+eps)
-		}
-	}
-	var ch Cholesky
-	ch.l = make([]float64, g.Rows*g.Rows)
-	ch.stride = g.Rows
-	if err := ch.Factorize(g); err != nil {
-		return nil, err
-	}
-	x := a.MulVecT(b, nil)
-	ch.SolveInPlace(x)
-	return x, nil
-}

@@ -3,7 +3,6 @@ package mat
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"extdict/internal/rng"
 )
@@ -112,50 +111,6 @@ func TestCholeskyReset(t *testing.T) {
 	ch.SolveInPlace(b)
 	if math.Abs(b[0]-2) > 1e-12 {
 		t.Fatalf("solve after reset = %v, want 2", b[0])
-	}
-}
-
-func TestSolveLeastSquaresExact(t *testing.T) {
-	// Overdetermined consistent system: recover x exactly.
-	r := rng.New(23)
-	a := randomDense(r, 20, 6)
-	x := make([]float64, 6)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	b := a.MulVec(x, nil)
-	got, err := SolveLeastSquares(a, b, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if math.Abs(got[i]-x[i]) > 1e-8 {
-			t.Fatalf("least squares error at %d: %v vs %v", i, got[i], x[i])
-		}
-	}
-}
-
-func TestSolveLeastSquaresResidualOrthogonality(t *testing.T) {
-	// Property: at the minimizer, Aᵀ(Ax - b) = 0.
-	f := func(seed uint16) bool {
-		r := rng.New(uint64(seed) + 1)
-		m, n := 10+r.Intn(20), 2+r.Intn(6)
-		a := randomDense(r, m, n)
-		b := make([]float64, m)
-		for i := range b {
-			b[i] = r.NormFloat64()
-		}
-		x, err := SolveLeastSquares(a, b, 0)
-		if err != nil {
-			return true // singular by chance: skip
-		}
-		res := a.MulVec(x, nil)
-		SubVec(res, res, b)
-		grad := a.MulVecT(res, nil)
-		return NormInf(grad) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 

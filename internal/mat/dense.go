@@ -148,18 +148,6 @@ func Equal(a, b *Dense, tol float64) bool {
 	return true
 }
 
-// FrobNorm returns the Frobenius norm of m, by Norm2's scaled recurrence
-// over the rows in storage order.
-func (m *Dense) FrobNorm() float64 {
-	var scale, ssq float64 = 0, 1
-	for i := 0; i < m.Rows; i++ {
-		for _, v := range m.Row(i) {
-			scale, ssq = ssqStep(v, scale, ssq)
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}
-
 // NormalizeColumns scales every column of m to unit Euclidean norm in place,
 // leaving all-zero columns untouched. It returns the original norms.
 // ExD (Algorithm 1) requires a column-normalized input matrix.
@@ -184,40 +172,4 @@ func (m *Dense) NormalizeColumns() []float64 {
 		}
 	}
 	return norms
-}
-
-// Scale multiplies every element of m by s in place.
-func (m *Dense) Scale(s float64) {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] *= s
-		}
-	}
-}
-
-// Add accumulates b into m element-wise (m += b). Shapes must match.
-func (m *Dense) Add(b *Dense) {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("mat: Add shape mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		rm, rb := m.Row(i), b.Row(i)
-		for j := range rm {
-			rm[j] += rb[j]
-		}
-	}
-}
-
-// Sub subtracts b from m element-wise (m -= b). Shapes must match.
-func (m *Dense) Sub(b *Dense) {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("mat: Sub shape mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		rm, rb := m.Row(i), b.Row(i)
-		for j := range rm {
-			rm[j] -= rb[j]
-		}
-	}
 }

@@ -147,26 +147,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestFrobNorm(t *testing.T) {
-	m := NewDenseData(2, 2, []float64{3, 0, 0, 4})
-	if got := m.FrobNorm(); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("FrobNorm = %v, want 5", got)
-	}
-	z := NewDense(3, 3)
-	if z.FrobNorm() != 0 {
-		t.Fatal("zero matrix norm not 0")
-	}
-}
-
-func TestFrobNormExtremeValues(t *testing.T) {
-	m := NewDenseData(1, 2, []float64{1e200, 1e200})
-	got := m.FrobNorm()
-	want := 1e200 * math.Sqrt2
-	if math.IsInf(got, 0) || math.Abs(got-want)/want > 1e-12 {
-		t.Fatalf("FrobNorm overflowed: %v", got)
-	}
-}
-
 func TestNormalizeColumns(t *testing.T) {
 	r := rng.New(2)
 	m := randomDense(r, 10, 6)
@@ -186,23 +166,6 @@ func TestNormalizeColumns(t *testing.T) {
 		if norms[j] <= 0 {
 			t.Fatalf("returned norm %v not positive", norms[j])
 		}
-	}
-}
-
-func TestScaleAddSub(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{1, 2, 3, 4})
-	b := NewDenseData(2, 2, []float64{4, 3, 2, 1})
-	a.Add(b)
-	if a.At(0, 0) != 5 || a.At(1, 1) != 5 {
-		t.Fatal("Add wrong")
-	}
-	a.Sub(b)
-	if a.At(0, 1) != 2 {
-		t.Fatal("Sub wrong")
-	}
-	a.Scale(2)
-	if a.At(1, 0) != 6 {
-		t.Fatal("Scale wrong")
 	}
 }
 

@@ -88,20 +88,3 @@ func PoolPeakWorkers() int { return int(poolPeak.Load()) }
 
 // ResetPoolPeak clears the high-water mark. Test instrumentation.
 func ResetPoolPeak() { poolPeak.Store(0) }
-
-// drainPool retires every worker and rearms the lazy start, so tests can
-// count goroutines hermetically and prove the pool leaks none. It must be
-// called only while no kernel is running — trySubmit on a draining pool
-// would send on a closed channel. Test instrumentation; production code
-// never stops the pool.
-func drainPool() {
-	if poolCh == nil {
-		return // never started
-	}
-	close(poolCh)
-	poolWorkers.Wait()
-	poolCh = nil
-	poolOnce = new(sync.Once)
-	poolInFlight.Store(0)
-	poolPeak.Store(0)
-}

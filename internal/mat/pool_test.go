@@ -7,6 +7,22 @@ import (
 	"time"
 )
 
+// drainPool retires every worker and rearms the lazy start, so tests can
+// count goroutines hermetically and prove the pool leaks none. It must be
+// called only while no kernel is running — trySubmit on a draining pool
+// would send on a closed channel. Production code never stops the pool.
+func drainPool() {
+	if poolCh == nil {
+		return // never started
+	}
+	close(poolCh)
+	poolWorkers.Wait()
+	poolCh = nil
+	poolOnce = new(sync.Once)
+	poolInFlight.Store(0)
+	poolPeak.Store(0)
+}
+
 // poolRoundTrip pushes one job through the pool (inline if every worker is
 // busy) and waits for it, guaranteeing the lazy start has run.
 func poolRoundTrip() {

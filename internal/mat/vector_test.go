@@ -197,16 +197,8 @@ func TestNorm2SpecialValues(t *testing.T) {
 		{[]float64{3, 4}, 5},
 		{[]float64{2, 2, 2, 2}, 4},
 	} {
-		for _, got := range []float64{Norm2(c.x), NewDenseData(1, len(c.x), c.x).FrobNorm()} {
-			if math.IsNaN(c.want) != math.IsNaN(got) || !math.IsNaN(got) && got != c.want {
-				t.Fatalf("norm of %v = %v, want %v", c.x, got, c.want)
-			}
-		}
-		if len(c.x) > 0 {
-			col := NewDenseData(len(c.x), 1, CopyVec(c.x))
-			if got := col.FrobNorm(); math.IsNaN(c.want) != math.IsNaN(got) || !math.IsNaN(got) && got != c.want {
-				t.Fatalf("FrobNorm of column %v = %v, want %v", c.x, got, c.want)
-			}
+		if got := Norm2(c.x); math.IsNaN(c.want) != math.IsNaN(got) || !math.IsNaN(got) && got != c.want {
+			t.Fatalf("norm of %v = %v, want %v", c.x, got, c.want)
 		}
 	}
 }
@@ -236,9 +228,6 @@ func TestNorm2FiniteBitsUnchanged(t *testing.T) {
 		want := oldNorm2(x)
 		if got := Norm2(x); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("Norm2(%v) = %v, old recurrence %v", x, got, want)
-		}
-		if got := NewDenseData(1, n, x).FrobNorm(); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("FrobNorm(%v) = %v, old recurrence %v", x, got, want)
 		}
 	}
 }

@@ -32,7 +32,7 @@ func BenchmarkAblationOMPVariants(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < a.Cols; j++ {
 					a.Col(j, col)
-					Encode(d, col, 0.1, 0)
+					refEncode(d, col, 0.1, 0)
 				}
 			}
 		})

@@ -77,9 +77,10 @@ func TestLazyGramCacheBudget(t *testing.T) {
 			t.Fatalf("cache exceeded budget: %d floats", lazy.cached)
 		}
 		// Results over budget must still satisfy the tolerance.
-		rec := mat.Mul(d, c.Dense())
-		rec.Sub(a)
-		if rec.FrobNorm() > 0.05*a.FrobNorm()+1e-9 {
+		rec := mat.NewDense(d.Rows, c.Cols)
+		mat.MulTo(rec, d, c.Dense())
+		mat.SubVec(rec.Data, rec.Data, a.Data)
+		if mat.Norm2(rec.Data) > 0.05*mat.Norm2(a.Data)+1e-9 {
 			t.Fatal("budget-constrained coding broke the error criterion")
 		}
 	})

@@ -252,6 +252,15 @@ func TestHealthzAndStatsz(t *testing.T) {
 	}
 }
 
+// Epoch returns the currently published epoch of one dictionary.
+func (s *Server) Epoch(name string) (uint64, error) {
+	sh, err := s.shardFor(name)
+	if err != nil {
+		return 0, err
+	}
+	return sh.snap.Load().epoch, nil
+}
+
 func TestReloadSwapsEpoch(t *testing.T) {
 	r := rng.New(9)
 	d1 := unitDictionary(r, 10, 24)

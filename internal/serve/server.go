@@ -112,7 +112,7 @@ func New(dicts map[string]*mat.Dense, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: no dictionaries to serve")
 	}
 	cfg = cfg.withDefaults()
-	if err := cfg.Platform.Validate(); err != nil {
+	if err := cfg.Platform.Topology.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Server{
@@ -221,15 +221,6 @@ func (s *Server) Swap(name string, d *mat.Dense) (uint64, error) {
 		return 0, err
 	}
 	return sh.swap(d)
-}
-
-// Epoch returns the currently published epoch of one dictionary.
-func (s *Server) Epoch(name string) (uint64, error) {
-	sh, err := s.shardFor(name)
-	if err != nil {
-		return 0, err
-	}
-	return sh.snap.Load().epoch, nil
 }
 
 // Close drains every shard and waits for the batchers to exit. Every

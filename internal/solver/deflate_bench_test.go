@@ -74,7 +74,7 @@ func BenchmarkDeflate(b *testing.B) {
 	for _, k := range []int{0, 5, 9} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				mat.ScaleTo(x, 1/deflate(gx, comps[:k], nil), gx)
+				mat.ScaleTo(x, 1/deflate(gx, comps[:k]), gx)
 			}
 		})
 		b.Run(fmt.Sprintf("k=%d/prev", k), func(b *testing.B) {

@@ -78,56 +78,6 @@ func refPowerMethod(op dist.Operator, opts PowerOpts) PowerResult {
 	return res
 }
 
-// refSparsePCA is SparsePCA's iteration on the two-pass deflation.
-func refSparsePCA(op dist.Operator, opts SparsePCAOpts) SparsePCAResult {
-	n := op.Dim()
-	opts.fill(n)
-	res := SparsePCAResult{Components: mat.NewDense(n, opts.Components)}
-	r := rng.New(opts.Seed)
-	var found [][]float64
-	x := make([]float64, n)
-	gx := make([]float64, n)
-	for comp := 0; comp < opts.Components; comp++ {
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
-		refDeflate(x, found)
-		refNormalize(x)
-		for warm := 0; warm < 5; warm++ {
-			res.Stats.Accumulate(op.Apply(x, gx))
-			res.Iters++
-			refDeflate(gx, found)
-			if n := mat.FastNorm2(gx); n > 0 {
-				refScale(x, gx, n)
-			}
-		}
-		truncate(x, opts.Cardinality)
-		refNormalize(x)
-		variance, prev := 0.0, math.Inf(1)
-		for it := 0; it < opts.MaxIters; it++ {
-			res.Stats.Accumulate(op.Apply(x, gx))
-			res.Iters++
-			refDeflate(gx, found)
-			variance = mat.Dot(x, gx)
-			truncate(gx, opts.Cardinality)
-			nrm := mat.FastNorm2(gx)
-			if nrm == 0 {
-				break
-			}
-			refScale(x, gx, nrm)
-			if math.Abs(variance-prev) <= opts.Tol*math.Abs(variance) {
-				break
-			}
-			prev = variance
-		}
-		vec := mat.CopyVec(x)
-		found = append(found, vec)
-		res.Variances = append(res.Variances, variance)
-		res.Components.SetCol(comp, vec)
-	}
-	return res
-}
-
 func sameFloats(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -168,19 +118,14 @@ func TestDeflateMatchesTwoPassLoop(t *testing.T) {
 				// ones, so every dot is an exact zero.
 				{"orthogonal", normals(n, 2, 1), even},
 			} {
-				for _, w := range [][]float64{nil, normals(n, 1, 0)} {
-					got, want := mat.CopyVec(c.v), mat.CopyVec(c.v)
-					out := deflate(got, c.comps, w)
-					refDeflate(want, c.comps)
-					wantOut := mat.FastNorm2(want)
-					if w != nil {
-						wantOut = mat.Dot(w, want)
-					}
-					sameFloats(t, c.name+" v", got, want)
-					if math.Float64bits(out) != math.Float64bits(wantOut) {
-						t.Fatalf("%s, k=%d n=%d w=%t: deflate returned %v, want %v",
-							c.name, k, n, w != nil, out, wantOut)
-					}
+				got, want := mat.CopyVec(c.v), mat.CopyVec(c.v)
+				out := deflate(got, c.comps)
+				refDeflate(want, c.comps)
+				wantOut := mat.FastNorm2(want)
+				sameFloats(t, c.name+" v", got, want)
+				if math.Float64bits(out) != math.Float64bits(wantOut) {
+					t.Fatalf("%s, k=%d n=%d: deflate returned %v, want %v",
+						c.name, k, n, out, wantOut)
 				}
 			}
 		}
@@ -220,25 +165,5 @@ func TestPowerMethodMatchesTwoPassDeflation(t *testing.T) {
 		}
 		sameFloats(t, c.name+" eigenvalues", got.Eigenvalues, want.Eigenvalues)
 		sameFloats(t, c.name+" eigenvectors", got.Eigenvectors.Data, want.Eigenvectors.Data)
-	}
-}
-
-func TestSparsePCAMatchesTwoPassDeflation(t *testing.T) {
-	a, _ := sparseSpectrumData(rng.New(84), 40, 30, 5, []float64{6, 4, 2})
-	for _, c := range []struct {
-		name string
-		op   dist.Operator
-		card int
-	}{
-		{"dense", singleCoreOp(a), 5},
-		{"exd", exdOp(t), 12},
-	} {
-		opts := SparsePCAOpts{Components: 3, Cardinality: c.card, Seed: 85}
-		got, want := SparsePCA(c.op, opts), refSparsePCA(c.op, opts)
-		if got.Iters != want.Iters {
-			t.Fatalf("%s: %d iterations, want %d", c.name, got.Iters, want.Iters)
-		}
-		sameFloats(t, c.name+" variances", got.Variances, want.Variances)
-		sameFloats(t, c.name+" components", got.Components.Data, want.Components.Data)
 	}
 }

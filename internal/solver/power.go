@@ -142,7 +142,7 @@ func PowerMethod(op dist.Operator, opts PowerOpts) PowerResult {
 			// Remove converged components from the operator action: for an
 			// exact eigenpair (λ_i, v_i), projecting G·x off v_i subtracts
 			// λ_i·(v_iᵀx)·v_i — the paper's "subtract the found content".
-			lambda = deflate(gx, found, nil)
+			lambda = deflate(gx, found)
 			if lambda == 0 {
 				break // null space reached: remaining eigenvalues are 0
 			}
@@ -186,33 +186,25 @@ func PowerMethod(op dist.Operator, opts PowerOpts) PowerResult {
 
 // deflate projects v off every found component in turn, v ← v − (cᵀv)·c
 // with each dot taken on the v the previous projection left, and returns
-// the deflated v's dot with w, or its norm (mat.FastNorm2) when w is nil.
-// Each pass over v finishes one projection and takes the next dot, or the
-// closing dot or norm, from the entries it has just written:
-// len(comps)+1 passes where projecting and then measuring take
-// 2·len(comps)+1, with the same bits.
-func deflate(v []float64, comps [][]float64, w []float64) float64 {
+// the deflated v's norm (mat.FastNorm2). Each pass over v finishes one
+// projection and takes the next dot, or the closing norm, from the entries
+// it has just written: len(comps)+1 passes where projecting and then
+// measuring take 2·len(comps)+1, with the same bits.
+func deflate(v []float64, comps [][]float64) float64 {
 	if len(comps) == 0 {
-		if w == nil {
-			return mat.FastNorm2(v)
-		}
-		return mat.Dot(w, v)
+		return mat.FastNorm2(v)
 	}
 	d := mat.Dot(comps[0], v)
 	for i := 1; i < len(comps); i++ {
 		d = mat.AxpyDot(-d, comps[i-1], v, comps[i])
 	}
-	last := comps[len(comps)-1]
-	if w == nil {
-		return mat.AxpyNorm2(-d, last, v)
-	}
-	return mat.AxpyDot(-d, last, v, w)
+	return mat.AxpyNorm2(-d, comps[len(comps)-1], v)
 }
 
 // normalize projects v off every found component and scales it to unit
 // norm; a v that deflates to zero stays zero.
 func normalize(v []float64, comps [][]float64) {
-	if n := deflate(v, comps, nil); n > 0 {
+	if n := deflate(v, comps); n > 0 {
 		mat.ScaleVec(1/n, v)
 	}
 }

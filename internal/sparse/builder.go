@@ -33,12 +33,6 @@ func (b *Builder) AppendColumn(idx []int, val []float64) {
 	b.colPtr = append(b.colPtr, len(b.rowIdx))
 }
 
-// AppendEmptyColumn adds a column with no stored entries.
-func (b *Builder) AppendEmptyColumn() { b.colPtr = append(b.colPtr, len(b.rowIdx)) }
-
-// Cols returns the number of columns appended so far.
-func (b *Builder) Cols() int { return len(b.colPtr) - 1 }
-
 // Build finalizes the matrix. The builder must not be used afterwards.
 func (b *Builder) Build() *CSC {
 	return &CSC{

@@ -12,7 +12,6 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"extdict/internal/mat"
 )
@@ -29,19 +28,6 @@ type CSC struct {
 
 // NNZ returns the number of stored (structurally nonzero) entries.
 func (m *CSC) NNZ() int { return len(m.Val) }
-
-// ColNNZ returns the number of stored entries in column j.
-func (m *CSC) ColNNZ(j int) int { return m.ColPtr[j+1] - m.ColPtr[j] }
-
-// At returns element (i, j) with a binary search over column j.
-func (m *CSC) At(i, j int) float64 {
-	lo, hi := m.ColPtr[j], m.ColPtr[j+1]
-	idx := sort.SearchInts(m.RowIdx[lo:hi], i) + lo
-	if idx < hi && m.RowIdx[idx] == i {
-		return m.Val[idx]
-	}
-	return 0
-}
 
 // Dense expands m into a dense matrix.
 func (m *CSC) Dense() *mat.Dense {

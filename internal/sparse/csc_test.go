@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -26,10 +27,20 @@ func randomCSC(r *rng.RNG, rows, cols int, density float64) *CSC {
 	return b.Build()
 }
 
+// At returns element (i, j) with a binary search over column j.
+func (m *CSC) At(i, j int) float64 {
+	lo, hi := m.ColPtr[j], m.ColPtr[j+1]
+	idx := sort.SearchInts(m.RowIdx[lo:hi], i) + lo
+	if idx < hi && m.RowIdx[idx] == i {
+		return m.Val[idx]
+	}
+	return 0
+}
+
 func TestBuilderAndCheck(t *testing.T) {
 	b := NewBuilder(4)
 	b.AppendColumn([]int{3, 0}, []float64{30, 0.5}) // unsorted on purpose
-	b.AppendEmptyColumn()
+	b.AppendColumn(nil, nil)
 	b.AppendColumn([]int{2}, []float64{2})
 	m := b.Build()
 	if err := m.Check(); err != nil {
@@ -42,8 +53,8 @@ func TestBuilderAndCheck(t *testing.T) {
 	if m.At(0, 0) != 0.5 || m.At(3, 0) != 30 || m.At(1, 0) != 0 {
 		t.Fatal("At wrong")
 	}
-	if m.ColNNZ(1) != 0 || m.ColNNZ(2) != 1 {
-		t.Fatal("ColNNZ wrong")
+	if m.ColPtr[2]-m.ColPtr[1] != 0 || m.ColPtr[3]-m.ColPtr[2] != 1 {
+		t.Fatal("column pointers wrong")
 	}
 }
 

@@ -19,7 +19,6 @@ package transform
 
 import (
 	"fmt"
-	"math"
 
 	"extdict/internal/mat"
 	"extdict/internal/rng"
@@ -41,12 +40,6 @@ type Result struct {
 	DenseC bool
 }
 
-// L returns the basis size of the fit.
-func (r *Result) L() int { return r.D.Cols }
-
-// NNZ returns the number of stored coefficients.
-func (r *Result) NNZ() int { return r.C.NNZ() }
-
 // MemoryWords returns the words needed to store the projection, matching
 // Table III's accounting: D always costs M·L; C costs L·N for dense storage
 // and 2·nnz + N + 1 for sparse storage (value + row index per entry, plus
@@ -57,35 +50,6 @@ func (r *Result) MemoryWords() int {
 		return d + r.C.Rows*r.C.Cols
 	}
 	return d + 2*r.C.NNZ() + r.C.Cols + 1
-}
-
-// RelError returns ‖A - D·C‖_F/‖A‖_F against the given data.
-func (r *Result) RelError(a *mat.Dense) float64 {
-	if a.Rows != r.D.Rows || a.Cols != r.C.Cols {
-		panic("transform: RelError shape mismatch")
-	}
-	var num, den float64
-	rec := make([]float64, a.Rows)
-	col := make([]float64, a.Rows)
-	for j := 0; j < a.Cols; j++ {
-		mat.Zero(rec)
-		for p := r.C.ColPtr[j]; p < r.C.ColPtr[j+1]; p++ {
-			atom, v := r.C.RowIdx[p], r.C.Val[p]
-			for i := range rec {
-				rec[i] += v * r.D.At(i, atom)
-			}
-		}
-		a.Col(j, col)
-		for i := range col {
-			d := col[i] - rec[i]
-			num += d * d
-			den += col[i] * col[i]
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return math.Sqrt(num / den)
 }
 
 // Method is a data projection algorithm.

@@ -1,12 +1,42 @@
 package transform
 
 import (
+	"math"
 	"testing"
 
 	"extdict/internal/dataset"
 	"extdict/internal/mat"
 	"extdict/internal/rng"
 )
+
+// relError returns ‖A - D·C‖_F/‖A‖_F against the given data.
+func relError(r *Result, a *mat.Dense) float64 {
+	if a.Rows != r.D.Rows || a.Cols != r.C.Cols {
+		panic("transform: relError shape mismatch")
+	}
+	var num, den float64
+	rec := make([]float64, a.Rows)
+	col := make([]float64, a.Rows)
+	for j := 0; j < a.Cols; j++ {
+		mat.Zero(rec)
+		for p := r.C.ColPtr[j]; p < r.C.ColPtr[j+1]; p++ {
+			atom, v := r.C.RowIdx[p], r.C.Val[p]
+			for i := range rec {
+				rec[i] += v * r.D.At(i, atom)
+			}
+		}
+		a.Col(j, col)
+		for i := range col {
+			d := col[i] - rec[i]
+			num += d * d
+			den += col[i] * col[i]
+		}
+	}
+	if den == 0 {
+		return 0
+	}
+	return math.Sqrt(num / den)
+}
 
 func unionData(t testing.TB, m, n int, ks []int, seed uint64) *mat.Dense {
 	t.Helper()
@@ -29,14 +59,14 @@ func TestMethodsMeetErrorCriterion(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", m.Name(), err)
 			}
-			if got := res.RelError(a); got > eps+1e-6 {
+			if got := relError(res, a); got > eps+1e-6 {
 				t.Errorf("%s eps=%v: achieved %v", m.Name(), eps, got)
 			}
 			if err := res.C.Check(); err != nil {
 				t.Errorf("%s: malformed C: %v", m.Name(), err)
 			}
-			if res.C.Rows != res.L() || res.C.Cols != a.Cols {
-				t.Errorf("%s: C shape %dx%d for L=%d", m.Name(), res.C.Rows, res.C.Cols, res.L())
+			if res.C.Rows != res.D.Cols || res.C.Cols != a.Cols {
+				t.Errorf("%s: C shape %dx%d for L=%d", m.Name(), res.C.Rows, res.C.Cols, res.D.Cols)
 			}
 		}
 	}
@@ -56,8 +86,8 @@ func TestOASISNeedsNoMoreColumnsThanRCSS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oa.L() > rc.L()+2 {
-		t.Fatalf("oASIS used %d columns, RCSS %d", oa.L(), rc.L())
+	if oa.D.Cols > rc.D.Cols+2 {
+		t.Fatalf("oASIS used %d columns, RCSS %d", oa.D.Cols, rc.D.Cols)
 	}
 }
 
@@ -77,8 +107,8 @@ func TestRankMapSparserThanRCSS(t *testing.T) {
 	if !rc.DenseC || rm.DenseC {
 		t.Fatal("DenseC flags wrong")
 	}
-	if rm.NNZ() >= rc.NNZ() {
-		t.Fatalf("RankMap nnz %d not below RCSS %d", rm.NNZ(), rc.NNZ())
+	if rm.C.NNZ() >= rc.C.NNZ() {
+		t.Fatalf("RankMap nnz %d not below RCSS %d", rm.C.NNZ(), rc.C.NNZ())
 	}
 }
 
@@ -88,7 +118,7 @@ func TestMemoryWordsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDense := 24*rc.L() + rc.L()*100
+	wantDense := 24*rc.D.Cols + rc.D.Cols*100
 	if rc.MemoryWords() != wantDense {
 		t.Fatalf("dense memory %d, want %d", rc.MemoryWords(), wantDense)
 	}
@@ -96,7 +126,7 @@ func TestMemoryWordsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSparse := 24*rm.L() + 2*rm.NNZ() + 100 + 1
+	wantSparse := 24*rm.D.Cols + 2*rm.C.NNZ() + 100 + 1
 	if rm.MemoryWords() != wantSparse {
 		t.Fatalf("sparse memory %d, want %d", rm.MemoryWords(), wantSparse)
 	}
@@ -131,7 +161,7 @@ func TestMethodsDeterministicPerSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r1.L() != r2.L() || r1.NNZ() != r2.NNZ() {
+		if r1.D.Cols != r2.D.Cols || r1.C.NNZ() != r2.C.NNZ() {
 			t.Fatalf("%s not deterministic", m.Name())
 		}
 	}

@@ -2,13 +2,15 @@
 # ci.sh — the one-command gate for this repository.
 #
 # Runs, in order: build, go vet, gofmt (fails on any unformatted file), the
-# project invariant linter (cmd/extdict-lint, all analyzers, SARIF report,
-# and a check that -fix would not change any file), a diff of the static
-# collective schedule (-trace) against its golden, the full test suite with
-# an aggregate coverage floor, the race detector over every internal
-# package, the GOMAXPROCS determinism matrix, the perfbench module's vet,
-# tests and lint, and the bench and serving smoke gates. Everything must
-# pass for a change to land.
+# project invariant linter (cmd/extdict-lint: a check that -fix would not
+# change any file, then one pass of all analyzers that writes the SARIF
+# report and the schedule, roofline and capacity reports diffed against
+# their goldens), the check that every non-test function is reached by a
+# program (scripts/unreached.sh), the full test suite with an aggregate
+# coverage floor, the race detector over every internal package, the
+# GOMAXPROCS determinism matrix, the perfbench module's vet, tests and lint,
+# and the bench and serving smoke gates. Everything must pass for a change
+# to land.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,82 +43,61 @@ echo "== extdict-lint -fix (must be a no-op)"
 # trees unmutated on failure.
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
+lint="$tmpdir/extdict-lint"
+go build -o "$lint" ./cmd/extdict-lint
 cp -a . "$tmpdir/tree"
 rm -rf "$tmpdir/tree/.git"
-go run ./cmd/extdict-lint -C "$tmpdir/tree" -fix ./... >/dev/null || true
+"$lint" -C "$tmpdir/tree" -fix ./... >/dev/null || true
 if ! diff -rq -x .git "$tmpdir/tree" . >/dev/null; then
     echo "extdict-lint: -fix would change these files; run 'go run ./cmd/extdict-lint -fix ./...' and commit:" >&2
     diff -rq -x .git "$tmpdir/tree" . | sed 's/^/  /' >&2
     exit 1
 fi
 
-echo "== extdict-lint"
-go run ./cmd/extdict-lint -sarif extdict-lint.sarif ./...
+echo "== extdict-lint (the whole suite over the module, the SARIF report and the three static reports)"
+# One pass of every analyzer over every package. It holds internal/lint to
+# the documentation, error-handling and panic-attribution invariants it
+# enforces on the rest of the module; it keeps the tree concurrency-clean
+# (sharedstate, lockorder, detorder), memory-model clean (an unproven
+# AddBytes claim would poison the roofline's denominators) and
+# capacity-model clean (an unproven AddResident claim would make the
+# capacity verdicts claims about nothing). The same pass writes the SARIF
+# report and the schedule, roofline and capacity reports diffed below.
+"$lint" -sarif extdict-lint.sarif -trace "$tmpdir/trace.json" \
+    -roofline "$tmpdir/roofline.json" -capacity "$tmpdir/capacity.json" ./...
 
-echo "== SARIF report carries the concurrency rules"
-# The uploaded report must advertise the whole suite — a stale binary or a
-# narrowed run would silently drop the newest analyzers' rule metadata.
-for rule in sharedstate lockorder detorder allocmodel; do
+echo "== SARIF report carries every analyzer's rule"
+# The uploaded report must advertise the whole suite: a run narrowed with
+# -checks would drop rules, and with them the guarantees above.
+for rule in $("$lint" -list | awk '{print $1}'); do
     if ! grep -q "\"id\": \"$rule\"" extdict-lint.sarif; then
         echo "extdict-lint.sarif lacks rule metadata for $rule" >&2
         exit 1
     fi
 done
 
-echo "== extdict-lint dogfood (internal/lint itself must be clean)"
-# The linter's own sources hold to the documentation, error-handling, and
-# panic-attribution invariants it enforces on the rest of the module.
-go run ./cmd/extdict-lint -checks exporteddoc,errcheck,panicmsg ./internal/lint/...
+echo "== static schedule, roofline and capacity reports match their goldens"
+# Each report is a reviewed artifact: drift in an operator's reduce/
+# broadcast schedule, a kernel contract, the platform balance or an
+# allocation contract must be deliberate.
+for report in trace:schedule roofline:roofline capacity:capacity; do
+    flag=${report%%:*}
+    golden=internal/lint/testdata/${report##*:}.golden.json
+    if ! diff -u "$golden" "$tmpdir/$flag.json"; then
+        echo "extdict-lint: the -$flag report drifted from $golden; if intended, regenerate with" >&2
+        echo "  go run ./cmd/extdict-lint -$flag $golden ./..." >&2
+        exit 1
+    fi
+done
 
-echo "== extdict-lint -checks sharedstate,lockorder,detorder (tree must be concurrency-clean)"
-# The full run above already covers the three concurrency analyzers, but —
-# like the memmodel assert below — this keeps the zero-unsuppressed-findings
-# guarantee explicit even if someone narrows the run above.
-go run ./cmd/extdict-lint -checks sharedstate,lockorder,detorder ./...
-
-echo "== extdict-lint -checks memmodel (tree must be memory-model clean)"
-# The roofline report divides proven flop polynomials by proven byte
-# polynomials; an unproven AddBytes claim would poison the denominators.
-# The full run above already covers memmodel, but this assert keeps the
-# guarantee explicit even if someone narrows the run above.
-go run ./cmd/extdict-lint -checks memmodel ./...
-
-echo "== extdict-lint -checks allocmodel (tree must be capacity-model clean)"
-# The capacity report's fits/needs-out-of-core verdicts evaluate the proven
-# resident-set polynomials; an unproven AddResident claim would make them
-# claims about nothing. Kept explicit like the memmodel assert above.
-go run ./cmd/extdict-lint -checks allocmodel ./...
-
-echo "== extdict-lint -trace (static schedule must match the golden)"
-# The schedule analyzer's static collective traces are a reviewed artifact:
-# any drift in an operator's reduce/broadcast schedule must be deliberate.
-go run ./cmd/extdict-lint -checks schedule -trace "$tmpdir/trace.json" ./...
-if ! diff -u internal/lint/testdata/schedule.golden.json "$tmpdir/trace.json"; then
-    echo "extdict-lint: static collective schedule drifted; if intended, regenerate with" >&2
-    echo "  go run ./cmd/extdict-lint -checks schedule -trace internal/lint/testdata/schedule.golden.json ./..." >&2
-    exit 1
-fi
-
-echo "== extdict-lint -roofline (static roofline must match the golden)"
-# The roofline report — per-kernel arithmetic intensity and compute-vs-
-# bandwidth classification — is a reviewed artifact like the schedule: a
-# changed kernel contract or platform balance must be deliberate.
-go run ./cmd/extdict-lint -checks memmodel -roofline "$tmpdir/roofline.json" ./...
-if ! diff -u internal/lint/testdata/roofline.golden.json "$tmpdir/roofline.json"; then
-    echo "extdict-lint: static roofline drifted; if intended, regenerate with" >&2
-    echo "  go run ./cmd/extdict-lint -checks memmodel -roofline internal/lint/testdata/roofline.golden.json ./..." >&2
-    exit 1
-fi
-
-echo "== extdict-lint -capacity (static capacity report must match the golden)"
-# The capacity report — per-entry-point peak-resident polynomials at the
-# documented reference shapes, classified against per-rank RAM — is a
-# reviewed artifact like the roofline: a changed allocation contract or
-# capacity must be deliberate.
-go run ./cmd/extdict-lint -checks allocmodel -capacity "$tmpdir/capacity.json" ./...
-if ! diff -u internal/lint/testdata/capacity.golden.json "$tmpdir/capacity.json"; then
-    echo "extdict-lint: static capacity report drifted; if intended, regenerate with" >&2
-    echo "  go run ./cmd/extdict-lint -checks allocmodel -capacity internal/lint/testdata/capacity.golden.json ./..." >&2
+echo "== no function that no program reaches"
+# scripts/unreached.sh lists the non-test functions that neither the
+# commands, perfbench nor the root package's tests and Examples reach; a
+# name that must stay goes on its keep-list, with its caller in DESIGN.md.
+unreached=$(bash scripts/unreached.sh)
+if [ -n "$unreached" ]; then
+    echo "no program reaches these functions; delete them, move them into tests, or keep-list them:" >&2
+    echo "$unreached" >&2
     exit 1
 fi
 
@@ -151,7 +132,7 @@ echo "== perfbench (the repository benchmark must build, pass its tests and lint
 # benchmark unseen. Its tests run every workload at a small scale.
 go -C perfbench vet ./...
 go -C perfbench test -count=1 ./...
-go run ./cmd/extdict-lint ./perfbench/...
+"$lint" ./perfbench/...
 
 echo "== bench smoke (kernel, coding, preprocessing, solver and wire-codec benchmarks must run)"
 # One iteration of every kernel, coding-loop, ε-check, preprocessing,

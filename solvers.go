@@ -22,19 +22,6 @@ func SolveLasso(op Operator, data *Matrix, y []float64, opts LassoOptions) Lasso
 	return solver.Lasso(op, aty, mat.Dot(y, y), opts)
 }
 
-// ElasticNetOptions configures SolveElasticNet; see solver.ElasticNetOpts.
-type ElasticNetOptions = solver.ElasticNetOpts
-
-// ElasticNetResult is the outcome of SolveElasticNet.
-type ElasticNetResult = solver.ElasticNetResult
-
-// SolveElasticNet minimizes ‖A·x - y‖² + λ₁‖x‖₁ + λ₂‖x‖² with the same
-// distributed iteration as SolveLasso. λ₂=0 is LASSO; λ₁=0 is Ridge.
-func SolveElasticNet(op Operator, data *Matrix, y []float64, opts ElasticNetOptions) ElasticNetResult {
-	aty := data.MulVecT(y, nil)
-	return solver.ElasticNet(op, aty, mat.Dot(y, y), opts)
-}
-
 // PCAOptions configures SolvePCA; see solver.PowerOpts.
 type PCAOptions = solver.PowerOpts
 
@@ -45,37 +32,6 @@ type PCAResult = solver.PowerResult
 // distributed Power method with deflation.
 func SolvePCA(op Operator, opts PCAOptions) PCAResult {
 	return solver.PowerMethod(op, opts)
-}
-
-// SparsePCAOptions configures SolveSparsePCA; see solver.SparsePCAOpts.
-type SparsePCAOptions = solver.SparsePCAOpts
-
-// SparsePCAResult is the outcome of SolveSparsePCA.
-type SparsePCAResult = solver.SparsePCAResult
-
-// SolveSparsePCA extracts sparse principal components (loadings with a
-// bounded number of nonzeros) with the distributed truncated power method.
-func SolveSparsePCA(op Operator, opts SparsePCAOptions) SparsePCAResult {
-	return solver.SparsePCA(op, opts)
-}
-
-// SVMOptions configures SolveSVM; see solver.SVMOpts.
-type SVMOptions = solver.SVMOpts
-
-// SVMResult is the outcome of SolveSVM.
-type SVMResult = solver.SVMResult
-
-// SolveSVM trains a soft-margin linear SVM in the dual on the distributed
-// Gram operator: labels are ±1 per data column. Use SVMWeights to recover
-// the primal weight vector for classifying new samples.
-func SolveSVM(op Operator, labels []float64, opts SVMOptions) SVMResult {
-	return solver.SVM(op, labels, opts)
-}
-
-// SVMWeights recovers the primal weight vector w = A·(α∘y) from the data
-// matrix and a trained SVM; classify a new sample x with sign(wᵀx).
-func SVMWeights(data *Matrix, labels []float64, res SVMResult) []float64 {
-	return solver.SVMWeights(data, labels, res)
 }
 
 // SpectralOptions configures SolveSpectralClustering; see
